@@ -84,18 +84,16 @@ def _add_input_flags(p: argparse.ArgumentParser):
 def _add_opt_flags(p: argparse.ArgumentParser, *, theta_default=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--theta", default=theta_default,
-                   help="Schmidt angle as a fraction of pi ('free' where supported)")
-    p.add_argument("--degenerate", action="store_true",
-                   help="allow identity/zero measurement effects")
-    p.add_argument("--jobs", type=int, default=1)
+    if theta_default is not None:
+        p.add_argument("--theta", default=theta_default,
+                       help="Schmidt angle as a fraction of pi ('free' where supported)")
+        p.add_argument("--degenerate", action="store_true",
+                       help="allow identity/zero measurement effects")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
 def _parse_theta(value, *, allow_free=False) -> float | None:
-    if value is None:
-        return None
     if isinstance(value, str) and value.strip().lower() == "free":
         if allow_free:
             return None
@@ -208,7 +206,7 @@ def _cmd_qmax(args) -> int:
 
 def _cmd_noise(args) -> int:
     name, f = _load_one(args)
-    theta = _parse_theta(args.theta) or math.pi / 4
+    theta = _parse_theta(args.theta)
     res = noise_threshold(f, theta, allow_degenerate=args.degenerate,
                           restarts=args.restarts, seed=args.seed, tol=args.tol)
     if res is None:
@@ -222,7 +220,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_eta(args) -> int:
     name, f = _load_one(args)
-    theta = _parse_theta(args.theta) or math.pi / 4
+    theta = _parse_theta(args.theta)
     res = eta_threshold_symmetric(f, theta, seed=args.seed,
                                   restarts=args.inner_restarts,
                                   allow_degenerate=args.degenerate,
@@ -270,7 +268,7 @@ def _cmd_eta_asym(args) -> int:
                       "(trend only, not an exact limit)")
         return EXIT_OK if finite else EXIT_NONE
 
-    theta = _parse_theta(args.theta) or math.pi / 4
+    theta = _parse_theta(args.theta)
     res = eta_threshold_asymmetric(f, theta, seed=args.seed,
                                    restarts=args.inner_restarts,
                                    allow_degenerate=args.degenerate,
@@ -392,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="full benchmark table over the catalog")
     _add_opt_flags(p)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--inner-restarts", type=int, default=8)
     p.add_argument("--only", action="append",
                    help="restrict to specific catalog entries (repeatable)")

@@ -1,17 +1,21 @@
 """Local bounds, saturating strategies and the facet (tightness) test.
 
-Everything here is exact: bounds are maxima of integer linear forms over
-deterministic strategies, and the tightness test computes the rank of an
-integer matrix by fraction-free (Bareiss) elimination.  A functional is a
-facet of the local polytope iff its bound is attained and the saturating
-deterministic points span an affine subspace of dimension d-1, where d is
-the no-signaling dimension of the scenario.
+Everything here is exact.  `_strategy_values` scores coefficient tables at
+every deterministic strategy as S_A M_A + S_B M_B + S_A C S_B^T over
+per-party bit tables, in int64 when no partial sum can reach 2^62 and in
+Python integers otherwise; the saturating set, the facet test and search
+screening all use it.  `local_bound_bruteforce` is the reference walk.
+A functional is a facet iff its bound is attained and the saturating
+points span an affine subspace of dimension d-1 (d the no-signaling
+dimension); the rank is taken by fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .core import (
     BellFunctional,
@@ -21,6 +25,7 @@ from .core import (
     behavior_of_strategy,
     evaluate,
     strategies,
+    strategy_from_index,
 )
 
 __all__ = [
@@ -30,10 +35,9 @@ __all__ = [
     "local_bound_bruteforce",
     "saturating_strategies",
     "facet_check",
-    "behavior_vector",
 ]
 
-_BRUTEFORCE_LIMIT = 24  # m_a + m_b; 2^24 strategy evaluations at most
+_ENUMERATION_LIMIT = 24  # m_a + m_b; 2^24 strategies enumerated at most
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ def local_bound(f: BellFunctional) -> Fraction:
 def local_bound_bruteforce(f: BellFunctional) -> Fraction:
     """Full 2^(m_a+m_b) enumeration; the oracle for local_bound."""
     ma, mb = f.scenario.m_a, f.scenario.m_b
-    if ma + mb > _BRUTEFORCE_LIMIT:
+    if ma + mb > _ENUMERATION_LIMIT:
         raise CapacityError(
             f"brute-force enumeration over 2^{ma + mb} strategies exceeds the guard")
     best = None
@@ -84,19 +88,46 @@ def local_bound_bruteforce(f: BellFunctional) -> Fraction:
     return Fraction(best)
 
 
+def _bits(indices: np.ndarray, m: int) -> np.ndarray:
+    """Row k holds the m low bits of indices[k], least significant first."""
+    return (indices[:, None] >> np.arange(m)) & 1
+
+
+def _strategy_values(scenario: Scenario, rows) -> np.ndarray:
+    """Exact values of coefficient rows (M_A, M_B, then C by rows) at every
+    strategy: one column per strategy, in strategy_from_index order."""
+    ma, mb = scenario.m_a, scenario.m_b
+    if ma + mb > _ENUMERATION_LIMIT:
+        raise CapacityError(f"scoring 2^{ma + mb} strategies exceeds the guard")
+    terms = ns_dimension(scenario)
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(-1, terms)
+        # no partial sum exceeds terms * max|coefficient| in magnitude
+        fits = max(int(table.max()), -int(table.min())) * terms < 2 ** 62
+    except OverflowError:
+        fits = False
+    if not fits:
+        table = np.array(rows, dtype=object).reshape(-1, terms)
+    sa, sb = _bits(np.arange(1 << ma), ma), _bits(np.arange(1 << mb), mb)
+    # (n, 2^mb, 2^ma): Bob's bits sit above Alice's in the strategy index
+    values = sb @ table[:, ma + mb:].reshape(-1, ma, mb).transpose(0, 2, 1) @ sa.T
+    values += (table[:, :ma] @ sa.T)[:, None, :]
+    values += (table[:, ma:ma + mb] @ sb.T)[:, :, None]
+    return values.reshape(len(table), -1)
+
+
+def _scored(f: BellFunctional) -> tuple[np.ndarray, np.ndarray]:
+    """f's value at every strategy, and where it equals f.bound (nowhere if
+    the bound is not an integer)."""
+    values = _strategy_values(f.scenario, [f.alice_marg + f.bob_marg + sum(f.corr, ())])[0]
+    if f.bound.denominator != 1:
+        return values, np.empty(0, dtype=np.int64)
+    return values, np.flatnonzero(values == f.bound.numerator)
+
+
 def saturating_strategies(f: BellFunctional) -> list[DeterministicStrategy]:
     """Strategies whose behavior attains f.bound exactly."""
-    out = []
-    for s in strategies(f.scenario):
-        if evaluate(f, behavior_of_strategy(s)) == f.bound:
-            out.append(s)
-    return out
-
-
-def behavior_vector(s: DeterministicStrategy) -> tuple[int, ...]:
-    """Embedding of a deterministic behavior in the d-dimensional parameter space."""
-    joint = tuple(a * b for a in s.s_a for b in s.s_b)
-    return s.s_a + s.s_b + joint
+    return [strategy_from_index(f.scenario, int(i)) for i in _scored(f)[1]]
 
 
 def _integer_rank(rows: list[list[int]]) -> int:
@@ -136,13 +167,15 @@ def facet_check(f: BellFunctional) -> FacetReport:
     than an error so that searches can treat non-facets as data.
     """
     d = ns_dimension(f.scenario)
-    lb = local_bound(f)
-    sats = saturating_strategies(f)
-    if not sats:
+    ma, mb = f.scenario.m_a, f.scenario.m_b
+    values, sats = _scored(f)
+    lb = Fraction(int(values.max()))
+    if sats.size == 0:
         return FacetReport(False, lb, 0, -1, d)
-    vecs = [behavior_vector(s) for s in sats]
-    ref = vecs[0]
-    diffs = [[v[i] - ref[i] for i in range(d)] for v in vecs[1:]]
-    affine_dim = _integer_rank(diffs) if diffs else 0
+    # behavior vectors (s_a, s_b, s_a s_b^T) of the saturating strategies
+    bits = _bits(sats, ma + mb)
+    joint = (bits[:, :ma, None] * bits[:, None, ma:]).reshape(len(sats), -1)
+    vecs = np.hstack([bits, joint])
+    affine_dim = _integer_rank((vecs[1:] - vecs[0]).tolist())
     is_tight = (lb == f.bound) and (affine_dim == d - 1)
     return FacetReport(is_tight, lb, len(sats), affine_dim, d)

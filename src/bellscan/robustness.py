@@ -96,6 +96,20 @@ def noise_floor(f: BellFunctional) -> Fraction:
             + Fraction(sum(v for row in f.corr for v in row), 4))
 
 
+def _bisect_threshold(violated_at, info, tol: float):
+    """Bisect for the smallest p in (0, 1] with violated_at(p) -> (True, info);
+    `info` belongs to p = 1 and is returned if no smaller p violates."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        violated, res = violated_at(mid)
+        if violated:
+            hi, info = mid, res
+        else:
+            lo = mid
+    return hi, info
+
+
 def noise_threshold(f: BellFunctional, theta: float, *,
                     allow_degenerate: bool = False, restarts: int = 50,
                     seed: int = 0, tol: float = 1e-10, w_tol: float = 1e-5,
@@ -123,25 +137,18 @@ def noise_threshold(f: BellFunctional, theta: float, *,
     n = restarts
     rng = np.random.default_rng(seed)
 
-    def value_at(w: float):
+    def violated_at(w: float):
         state = _seesaw_batch(
             np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)),
             np.broadcast_to(C, (n,) + C.shape),
             theta=np.full(n, theta), free_theta=False, w=w,
             allow_degenerate=True, rng=rng, tol=tol, max_sweeps=max_sweeps)
         row = int(np.argmax(state["values"]))
-        return float(state["values"][row]), _model_from_row(state, row)
+        return (state["values"][row] > bound + _VIOLATION_MARGIN,
+                _model_from_row(state, row))
 
-    lo, hi = 0.0, 1.0
-    model = best.model
-    while hi - lo > w_tol:
-        mid = 0.5 * (lo + hi)
-        value, m = value_at(mid)
-        if value > bound + _VIOLATION_MARGIN:
-            hi, model = mid, m
-        else:
-            lo = mid
-    return NoiseResult(w_threshold=hi, theta=theta, model=model)
+    w, model = _bisect_threshold(violated_at, best.model, w_tol)
+    return NoiseResult(w_threshold=w, theta=theta, model=model)
 
 
 def detected_behavior(p: Behavior, d: DetectionModel) -> Behavior:
@@ -223,17 +230,15 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
     rng = np.random.default_rng(seed)
 
     if symmetric:
-        n = 1 << (ma + mb)
-        masks = np.arange(n)
-        sa = ((masks[:, None] >> np.arange(ma)) & 1).astype(float)
-        sb = ((masks[:, None] >> (ma + np.arange(mb))) & 1).astype(float)
+        bits = _assignment_bits(1 << (ma + mb), ma + mb)
+        sa, sb = bits[:, :ma], bits[:, ma:]
     else:
         sb = _assignment_bits(1 << mb, mb)
         sa = np.zeros((1 << mb, ma))  # irrelevant at eta_a = 1
 
     warm = None
 
-    def evaluate_at(eta):
+    def violated_at(eta):
         nonlocal warm
         ea, eb = (eta, eta) if symmetric else (1.0, eta)
         value, assign, model, warm = _detected_max(
@@ -242,22 +247,14 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
             max_sweeps=max_sweeps)
         return value > bound + _VIOLATION_MARGIN, (assign, model)
 
-    violated, info = evaluate_at(1.0)
+    violated, info = violated_at(1.0)
     if not violated:
         return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > eta_tol:
-        mid = 0.5 * (lo + hi)
-        violated, res = evaluate_at(mid)
-        if violated:
-            hi, info = mid, res
-        else:
-            lo = mid
-    assign, model = info
+    eta, (assign, model) = _bisect_threshold(violated_at, info, eta_tol)
     noclick_a = tuple(int(v) for v in sa[assign])
     noclick_b = tuple(int(v) for v in sb[assign])
-    ea, eb = (hi, hi) if symmetric else (1.0, hi)
-    return DetectionResult(eta=hi, eta_a=ea, eta_b=eb, model=model,
+    ea, eb = (eta, eta) if symmetric else (1.0, eta)
+    return DetectionResult(eta=eta, eta_a=ea, eta_b=eb, model=model,
                            noclick_a=noclick_a, noclick_b=noclick_b)
 
 

@@ -8,11 +8,11 @@ range and marginal columns ordered as
 (the first "<" is configurable since the printed constraint is strict
 there and "<=" later).  Every candidate's bound is its exact local bound,
 so the facet test is the only filter that matters.  Screening runs in
-bulk: deterministic-strategy behaviors form an integer matrix V, a chunk
-of candidate coefficient rows W scores all strategies as W @ V.T, and only
-candidates with at least d saturating vertices reach the exact rank test.
-Found facets are deduplicated by canonical form and matched against the
-catalog (including zero-padded liftings of smaller-scenario entries);
+bulk: the facet test's exact scoring helper values each chunk of candidates
+at every deterministic strategy, a candidate's bound is its largest value,
+and only candidates with at least d saturating strategies reach the rank
+test.  Found facets are deduplicated by canonical form and matched against
+the catalog (including zero-padded liftings of smaller-scenario entries);
 single-cell positivity facets are counted separately as trivial.
 """
 
@@ -22,7 +22,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from pathlib import Path
 from typing import Iterator
 
@@ -37,9 +37,8 @@ from .core import (
     functional_to_json,
     lift,
     serialize_functional,
-    strategies,
 )
-from .polytope import behavior_vector, facet_check, local_bound, ns_dimension
+from .polytope import _strategy_values, facet_check, local_bound, ns_dimension
 from .symmetry import canonical_form, canonical_key
 
 __all__ = [
@@ -105,21 +104,14 @@ def _marginal_tuples(m: int, marg_min: int, strict_first: bool) -> list[tuple[in
     return out
 
 
-def _space_size(cfg: SearchConfig) -> tuple[int, list, list]:
+def _raw_candidates(cfg: SearchConfig) -> Iterator[tuple]:
+    """(alice_marg, bob_marg, corr_flat) triples under the cfg constraints."""
     a_tuples = _marginal_tuples(cfg.scenario.m_a, cfg.marg_min, cfg.strict_first)
     b_tuples = _marginal_tuples(cfg.scenario.m_b, cfg.marg_min, cfg.strict_first)
     lo, hi = cfg.corr_range
     cells = cfg.scenario.m_a * cfg.scenario.m_b
-    size = len(a_tuples) * len(b_tuples) * (hi - lo + 1) ** cells
-    return size, a_tuples, b_tuples
-
-
-def _raw_candidates(cfg: SearchConfig) -> Iterator[tuple]:
-    """(alice_marg, bob_marg, corr_flat) triples under the cfg constraints."""
-    size, a_tuples, b_tuples = _space_size(cfg)
-    lo, hi = cfg.corr_range
-    cells = cfg.scenario.m_a * cfg.scenario.m_b
     if cfg.mode == "exhaustive":
+        size = len(a_tuples) * len(b_tuples) * (hi - lo + 1) ** cells
         if size > EXHAUSTIVE_CAP:
             raise CapacityError(
                 f"exhaustive space has {size} candidates (cap {EXHAUSTIVE_CAP}); "
@@ -176,35 +168,21 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
     """Generate, bound, facet-test, canonicalize and dedupe candidates."""
     scenario = cfg.scenario
     d = ns_dimension(scenario)
-    verts = np.array([behavior_vector(s) for s in strategies(scenario)],
-                     dtype=np.int64).T  # (d, n_verts)
-
-    lo, hi = cfg.corr_range
-    worst = (max(abs(cfg.marg_min), 1) * (scenario.m_a + scenario.m_b)
-             + max(abs(lo), abs(hi)) * scenario.m_a * scenario.m_b)
-    if worst >= 2 ** 62:
-        raise CapacityError("coefficient range too large for vectorized scoring")
-
     report = SearchReport(config=cfg, candidates_tested=0)
     trivial = _trivial_key(scenario)
     known = _catalog_keys(scenario)
     seen: dict = {}
 
-    chunk_rows: list = []
-
-    def flush():
-        nonlocal chunk_rows
-        if not chunk_rows:
-            return
-        W = np.array([am + bm + flat for am, bm, flat in chunk_rows], dtype=np.int64)
-        scores = W @ verts  # (chunk, n_verts)
+    candidates = _raw_candidates(cfg)
+    while chunk := list(islice(candidates, _CHUNK)):
+        report.candidates_tested += len(chunk)
+        scores = _strategy_values(scenario, [am + bm + flat for am, bm, flat in chunk])
         bounds = scores.max(axis=1)
         sat_counts = (scores == bounds[:, None]).sum(axis=1)
+        del scores  # hold one chunk's values at a time, not two
         for idx in np.nonzero(sat_counts >= d)[0]:
-            am, bm, flat = chunk_rows[idx]
-            f = _build(cfg, am, bm, flat, int(bounds[idx]))
-            rep = facet_check(f)
-            if not rep.is_tight:
+            f = _build(cfg, *chunk[idx], int(bounds[idx]))
+            if not facet_check(f).is_tight:
                 continue
             key = canonical_key(f)
             if key == trivial:
@@ -218,14 +196,6 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
                 FacetFinding(functional=f, canonical=canonical_form(f), known_as=name))
             if name is None:
                 report.new_count += 1
-        chunk_rows = []
-
-    for item in _raw_candidates(cfg):
-        chunk_rows.append(item)
-        report.candidates_tested += 1
-        if len(chunk_rows) >= _CHUNK:
-            flush()
-    flush()
 
     if out_dir is not None:
         _write_report(report, Path(out_dir))

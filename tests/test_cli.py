@@ -112,6 +112,25 @@ def test_noise_theta_flag(capsys):
     assert out.strip() == "0.7071"
 
 
+def test_noise_theta_zero_is_usage_error(capsys):
+    # theta = 0 is a product state; it must not fall back to pi/4
+    code, out, err = run_cli(capsys, "noise", "--name", "CHSH", "--theta", "0",
+                             "--seed", "1", "--restarts", "10")
+    assert code == 2
+    assert out == ""
+    assert "theta" in err
+
+
+def test_flags_only_on_subcommands_that_read_them(capsys):
+    for argv in (["qmax", "--name", "CHSH", "--jobs", "2"],
+                 ["table1", "--only", "CHSH", "--theta", "0.2"],
+                 ["table1", "--only", "CHSH", "--degenerate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_eta_command(capsys):
     code, out, _ = run_cli(capsys, "eta", "--name", "CHSH", "--seed", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ from bellscan.core import (
     CapacityError,
     DeterministicStrategy,
     Scenario,
+    behavior_of_strategy,
+    evaluate,
+    strategies,
 )
 from bellscan.polytope import (
     facet_check,
@@ -51,16 +55,36 @@ def test_bruteforce_agrees_on_catalog():
 
 def test_bruteforce_agrees_on_random_functionals():
     rng = random.Random(99)
-    scenarios = [Scenario(2, 2), Scenario(3, 3), Scenario(4, 3), Scenario(2, 4)]
-    for _ in range(200):
-        f = random_functional(rng, rng.choice(scenarios))
-        assert local_bound(f) == local_bound_bruteforce(f)
+    scenarios = [Scenario(2, 2), Scenario(3, 3), Scenario(4, 3), Scenario(2, 4),
+                 Scenario(1, 1), Scenario(2, 3), Scenario(4, 4)]
+    functionals = [random_functional(rng, rng.choice(scenarios)) for _ in range(200)]
+    # past int64 (2**63), and where int64 sums would wrap (8 * 2**61 = 2**64)
+    chsh = catalog_get("CHSH").functional
+    huge = 2 ** 63
+    functionals.append(BellFunctional.build(
+        [huge * v for v in chsh.alice_marg], [huge * v for v in chsh.bob_marg],
+        [[huge * v for v in row] for row in chsh.corr], 0))
+    functionals.append(BellFunctional.build([2 ** 61] * 2, [2 ** 61] * 2,
+                                            [[2 ** 61] * 2] * 2, 0))
+    for f in functionals:
+        bound = local_bound_bruteforce(f)
+        assert local_bound(f) == bound
+        assert facet_check(f).local_bound == bound
+        for b in (f.bound, bound, bound / 2):
+            g = replace(f, bound=b)
+            walk = [s for s in strategies(g.scenario)
+                    if evaluate(g, behavior_of_strategy(s)) == g.bound]
+            assert saturating_strategies(g) == walk
+    assert functionals[-2].bound == 0 and facet_check(functionals[-2]).is_tight
+    assert local_bound(functionals[-1]) == 2 ** 64
 
 
 def test_bruteforce_capacity_guard():
     f = BellFunctional.build([0] * 13, [0] * 13, [[0] * 13] * 13, 0)
     with pytest.raises(CapacityError):
         local_bound_bruteforce(f)
+    with pytest.raises(CapacityError):
+        facet_check(f)
 
 
 def test_saturating_strategies_chsh():
