@@ -47,6 +47,13 @@ EXIT_NONE = 1
 EXIT_USAGE = 2
 
 
+_DEFAULT_THETA = "0.25"
+_INNER_RESTARTS_HELP = (
+    "see-saw restarts per no-click assignment; for the symmetric eta at "
+    "theta/pi = 0.25 with rank-1 effects, restarts of the one see-saw whose "
+    "optimum gives the closed form")
+
+
 class _UsageError(Exception):
     pass
 
@@ -81,9 +88,11 @@ def _add_input_flags(p: argparse.ArgumentParser):
                    help="functional file, text or .json (repeatable)")
 
 
-def _add_opt_flags(p: argparse.ArgumentParser, *, theta_default=None):
+def _add_opt_flags(p: argparse.ArgumentParser, *, theta_default=None,
+                   restarts=False):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=50)
+    if restarts:
+        p.add_argument("--restarts", type=int, default=50)
     if theta_default is not None:
         p.add_argument("--theta", default=theta_default,
                        help="Schmidt angle as a fraction of pi ('free' where supported)")
@@ -236,6 +245,8 @@ def _cmd_eta(args) -> int:
 def _cmd_eta_asym(args) -> int:
     name, f = _load_one(args)
     if args.sweep:
+        if args.theta is not None:
+            raise _UsageError("--sweep scans its own grid of angles; drop --theta")
         points = eta_asymmetric_sweep(f, seed=args.seed,
                                       restarts=args.inner_restarts,
                                       allow_degenerate=args.degenerate,
@@ -268,7 +279,7 @@ def _cmd_eta_asym(args) -> int:
                       "(trend only, not an exact limit)")
         return EXIT_OK if finite else EXIT_NONE
 
-    theta = _parse_theta(args.theta)
+    theta = _parse_theta(_DEFAULT_THETA if args.theta is None else args.theta)
     res = eta_threshold_asymmetric(f, theta, seed=args.seed,
                                    restarts=args.inner_restarts,
                                    allow_degenerate=args.degenerate,
@@ -282,14 +293,17 @@ def _cmd_eta_asym(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    sampling = {k: v for k, v in (("sample_count", args.samples),
+                                  ("seed", args.seed)) if v is not None}
+    if sampling and args.mode != "random":
+        raise _UsageError("--samples and --seed apply only with --mode random")
     cfg = SearchConfig(
         scenario=Scenario(args.ma, args.mb),
         corr_range=(args.corr_min, args.corr_max),
         marg_min=args.marg_min,
         mode=args.mode,
-        sample_count=args.samples,
-        seed=args.seed,
         strict_first=not args.no_strict_first,
+        **sampling,
     )
     report = run_search(cfg, out_dir=args.out)
     if args.format == "json":
@@ -351,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qmax", help="see-saw quantum maximum")
     _add_input_flags(p)
-    _add_opt_flags(p, theta_default="free")
+    _add_opt_flags(p, theta_default="free", restarts=True)
     p.set_defaults(func=_cmd_qmax)
 
     p = sub.add_parser("noise", help="visibility threshold")
     _add_input_flags(p)
-    _add_opt_flags(p, theta_default="0.25")
+    _add_opt_flags(p, theta_default=_DEFAULT_THETA, restarts=True)
     p.set_defaults(func=_cmd_noise)
 
     for cmd, func, help_text in (
@@ -365,12 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
              "one-sided detection-efficiency threshold (eta_A = 1)")):
         p = sub.add_parser(cmd, help=help_text)
         _add_input_flags(p)
-        _add_opt_flags(p, theta_default="0.25")
+        _add_opt_flags(p, theta_default=_DEFAULT_THETA)
         p.add_argument("--inner-restarts", type=int, default=8,
-                       help="see-saw restarts per no-click assignment")
+                       help=_INNER_RESTARTS_HELP)
         if cmd == "eta-asym":
+            # --sweep brings its own angles, so --theta must stay unset there
+            p.set_defaults(theta=None)
             p.add_argument("--sweep", action="store_true",
-                           help="scan a decreasing grid of Schmidt angles")
+                           help="scan a decreasing grid of Schmidt angles "
+                                "(not with --theta)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("search", help="candidate-table facet search")
@@ -380,8 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr-max", type=int, default=2)
     p.add_argument("--marg-min", type=int, default=-3)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int,
+                   help="candidates to draw (random mode only; default 100000)")
+    p.add_argument("--seed", type=int,
+                   help="sampling seed (random mode only; default 0)")
     p.add_argument("--no-strict-first", action="store_true",
                    help="relax the strict first marginal inequality")
     p.add_argument("--out", help="directory for found facets and report.json")
@@ -389,9 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table1", help="full benchmark table over the catalog")
-    _add_opt_flags(p)
+    _add_opt_flags(p, restarts=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--inner-restarts", type=int, default=8)
+    p.add_argument("--inner-restarts", type=int, default=8,
+                   help=_INNER_RESTARTS_HELP)
     p.add_argument("--only", action="append",
                    help="restrict to specific catalog entries (repeatable)")
     p.set_defaults(func=_cmd_table1)

@@ -22,7 +22,10 @@ or zero effect wins).  For a free state the 4x4 Bell operator's top
 eigenvector is taken and re-expressed in Schmidt form, absorbing the local
 unitaries into the measurements.  Every step is an exact block maximum, so
 the objective is monotone nondecreasing; global quality comes from seeded
-random restarts, which run batched.
+random restarts, which run batched.  The rows of a batch may carry their
+own marginal coefficients but share one correlation table.  At fixed
+theta a sweep's value comes free with Bob's update: it is Alice's
+marginal term plus the sum of Bob's per-setting block maxima.
 
 The engine also accepts a visibility w, optimizing over measurements on
 the isotropic mixture w|psi><psi| + (1-w) 1/4 at fixed theta; this is what
@@ -225,28 +228,32 @@ def _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch):
     dead = (akind == _ZERO)[:, :, None] | (bkind == _ZERO)[:, None, :]
     pab = np.where(dead, 0.0, pab)
     return (np.einsum("nx,nx->n", MA, pa) + np.einsum("ny,ny->n", MB, pb)
-            + np.einsum("nxy,nxy->n", C, pab))
+            + pab.reshape(len(pab), -1) @ C.ravel())
 
 
 def _update_party(M, C, wc, ws, w, kind, bloch, other_kind, other_bloch,
                   allow_degenerate):
-    """Exact block maximum over one party's measurements (partner fixed)."""
+    """Exact block maximum over one party's measurements (partner fixed).
+
+    C is the (m_self, m_other) table shared by all rows.  Returns the new
+    kinds and Bloch vectors and, per setting, the block maximum attained:
+    the partner's marginal term plus the sum of these is the new value."""
     other_proj = other_kind == _PROJ
     oz = other_bloch[..., 2]
     p_other = np.where(other_proj, (1.0 + wc[:, None] * oz) / 2.0,
                        np.where(other_kind == _ID, 1.0, 0.0))
     # az-independent half: M/2 + sum_y C p_other/2; the identity effect scores
     # exactly twice this (trace doubling), the zero effect scores 0
-    base = M / 2.0 + np.einsum("nxy,ny->nx", C, p_other) / 2.0
+    base = M / 2.0 + p_other @ C.T / 2.0
 
     zc = np.where(other_proj, (wc[:, None] + w * oz) / 4.0,
                   np.where(other_kind == _ID, wc[:, None] / 2.0, 0.0))
     gx_src = np.where(other_proj, other_bloch[..., 0], 0.0)
     gy_src = np.where(other_proj, other_bloch[..., 1], 0.0)
     g = np.empty(bloch.shape)
-    g[..., 0] = ws[:, None] * np.einsum("nxy,ny->nx", C, gx_src) / 4.0
-    g[..., 1] = -ws[:, None] * np.einsum("nxy,ny->nx", C, gy_src) / 4.0
-    g[..., 2] = M * wc[:, None] / 2.0 + np.einsum("nxy,ny->nx", C, zc)
+    g[..., 0] = ws[:, None] * (gx_src @ C.T) / 4.0
+    g[..., 1] = -ws[:, None] * (gy_src @ C.T) / 4.0
+    g[..., 2] = M * wc[:, None] / 2.0 + zc @ C.T
 
     norm = np.linalg.norm(g, axis=-1)
     safe = norm > 1e-300
@@ -257,9 +264,8 @@ def _update_party(M, C, wc, ws, w, kind, bloch, other_kind, other_bloch,
         v_id = 2.0 * base
         stacked = np.stack([v_proj, v_id, np.zeros_like(base)], axis=-1)
         new_kind = np.argmax(stacked, axis=-1).astype(np.int8)
-    else:
-        new_kind = np.zeros_like(kind)
-    return new_kind, new_bloch
+        return new_kind, new_bloch, stacked.max(axis=-1)
+    return np.zeros_like(kind), new_bloch, v_proj
 
 
 def _effects(kind, bloch) -> np.ndarray:
@@ -274,7 +280,7 @@ def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
     """Top eigenvector of the Bell operator, re-canonicalized to Schmidt form."""
     A = _effects(akind, abloch)
     B = _effects(bkind, bbloch)
-    G = np.einsum("nxy,nxij,nykl->nikjl", C, A, B)
+    G = np.einsum("xy,nxij,nykl->nikjl", C, A, B)
     G += np.einsum("nx,nxij,kl->nikjl", MA, A, _EYE2)
     G += np.einsum("ny,ij,nykl->nikjl", MB, _EYE2, B)
     n = MA.shape[0]
@@ -299,7 +305,10 @@ def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
 
 def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False,
                   rng=None, init=None, tol=1e-10, max_sweeps=500, record=False):
-    """Run one batched see-saw; returns the final state of every row."""
+    """Run one batched see-saw; returns the final state of every row.
+
+    MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is shared.
+    """
     MA = np.ascontiguousarray(MA, dtype=float)
     MB = np.ascontiguousarray(MB, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
@@ -328,16 +337,19 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
     history = [values.copy()] if record else None
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        akind, abloch = _update_party(MA, C, wc, ws, w, akind, abloch,
-                                      bkind, bbloch, allow_degenerate)
-        bkind, bbloch = _update_party(MB, np.swapaxes(C, 1, 2), wc, ws, w, bkind,
-                                      bbloch, akind, abloch, allow_degenerate)
+        akind, abloch, _ = _update_party(MA, C, wc, ws, w, akind, abloch,
+                                         bkind, bbloch, allow_degenerate)
+        bkind, bbloch, b_best = _update_party(MB, C.T, wc, ws, w, bkind, bbloch,
+                                              akind, abloch, allow_degenerate)
         if free_theta:
             theta, abloch, bbloch = _update_state(MA, MB, C, akind, abloch,
                                                   bkind, bbloch)
             wc = w * np.cos(2 * theta)
             ws = w * np.sin(2 * theta)
-        new_values = _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch)
+            new_values = _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch)
+        else:
+            new_values = (np.einsum("nx,nx->n", MA, _marginals(akind, abloch, wc))
+                          + b_best.sum(axis=1))
         delta = new_values - values
         values = new_values
         if record:
@@ -400,8 +412,7 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
             raise StructuralError(f"theta {theta} outside [0, pi/4]")
         theta0 = np.full(n, float(theta))
     state = _seesaw_batch(
-        np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)),
-        np.broadcast_to(C, (n,) + C.shape),
+        np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
         theta=theta0, free_theta=free, allow_degenerate=allow_degenerate,
         rng=rng, tol=tol, max_sweeps=max_sweeps, record=record_history)
     best = int(np.argmax(state["values"]))  # first index on ties

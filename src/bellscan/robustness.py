@@ -17,11 +17,26 @@ Detection model: each party holds a deterministic no-click assignment
 (bit 1 = output "0" on non-detection).  The detected behavior is an affine
 image of the quantum behavior, so for fixed assignments and efficiencies
 the optimization collapses onto an effective coefficient table evaluated
-on the undetected behavior plus a constant.  Thresholds are bisected on
-the efficiency; monotonicity holds because a party can always discard
-detections to simulate a lower efficiency.  The inner maximization runs
-one batched see-saw over all no-click assignments times restarts, warm
-started from the previous bisection step.
+on the undetected behavior plus a constant.
+
+The symmetric threshold at theta = pi/4 with rank-1 effects is a closed
+form.  Every marginal is 1/2 there, so for no-click bits s the best
+detected value is
+
+    const(s, eta) + sum MA_eff / 2 + sum MB_eff / 2
+        + eta^2 (sum C / 4 + Q(pi/4) - N),
+
+a quadratic in eta whose measurement optimum depends on neither s nor
+eta.  One fixed-theta see-saw gives Q(pi/4) and the model; the threshold
+is the smallest root, over all 2^(m_a+m_b) assignments, at the bound plus
+a small margin, so the model and the bits witness a violation there.
+
+Elsewhere (theta < pi/4, degenerate effects, or the one-sided eta_B)
+thresholds are bisected on the efficiency; monotonicity holds because a
+party can always discard detections to simulate a lower efficiency.  The
+inner maximization runs one batched see-saw over all no-click
+assignments times restarts, warm started from the previous bisection
+step.
 """
 
 from __future__ import annotations
@@ -139,8 +154,7 @@ def noise_threshold(f: BellFunctional, theta: float, *,
 
     def violated_at(w: float):
         state = _seesaw_batch(
-            np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)),
-            np.broadcast_to(C, (n,) + C.shape),
+            np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
             theta=np.full(n, theta), free_theta=False, w=w,
             allow_degenerate=True, rng=rng, tol=tol, max_sweeps=max_sweeps)
         row = int(np.argmax(state["values"]))
@@ -199,11 +213,10 @@ def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
     total_rows = n * r
     big_ma = np.repeat(MA_eff, r, axis=0)
     big_mb = np.repeat(MB_eff, r, axis=0)
-    big_c = np.broadcast_to(eta_a * eta_b * C, (total_rows,) + C.shape)
     init = None
     if warm is not None:
         init = {"rows": np.arange(n) * r, **warm}
-    state = _seesaw_batch(big_ma, big_mb, big_c,
+    state = _seesaw_batch(big_ma, big_mb, eta_a * eta_b * C,
                           theta=np.full(total_rows, theta), free_theta=False,
                           allow_degenerate=allow_degenerate, rng=rng, init=init,
                           tol=tol, max_sweeps=max_sweeps)
@@ -258,13 +271,59 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
                            noclick_a=noclick_a, noclick_b=noclick_b)
 
 
+def _eta_at_maximal_entanglement(f: BellFunctional, *, seed: int, restarts: int,
+                                 tol: float,
+                                 max_sweeps: int) -> DetectionResult | None:
+    """Closed-form symmetric threshold at theta = pi/4 with rank-1 effects
+    (see the module docstring); the quadratic for bits s is written as
+    det_s + b_s eta + d_s eta^2, with det_s the value of local strategy s."""
+    best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4,
+                           tol=tol, max_sweeps=max_sweeps)
+    target = float(f.bound) + _VIOLATION_MARGIN
+    if best.value <= target:
+        return None
+    ma, mb = f.scenario.m_a, f.scenario.m_b
+    MA, MB, C = _coefficient_arrays(f)
+    bits = _assignment_bits(1 << (ma + mb), ma + mb)
+    sa, sb = bits[:, :ma], bits[:, ma:]
+    csb = sb @ C.T
+    corr = np.einsum("nx,nx->n", sa, csb)                 # s_a C s_b
+    det = sa @ MA + sb @ MB + corr
+    half = (MA.sum() + MB.sum()) / 2                      # marginal part of Q
+    cross = (csb.sum(axis=1) + (sa @ C).sum(axis=1)) / 2
+    b = half + cross - det - corr
+    d = best.value - half + corr - cross
+    # smallest positive root of d eta^2 + b eta - gap = 0; the roots q/d and
+    # -gap/q avoid cancellation whatever the signs.  gap <= 0 means s
+    # reaches the target already at eta = 0
+    gap = target - det
+    disc = b * b + 4 * d * gap
+    q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b)) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = np.stack([q / d, -gap / q])
+    pair = np.where((pair > 0) & (disc >= 0), pair, np.inf)
+    roots = np.where(gap <= 0, 0.0, pair.min(axis=0))
+    assign = int(np.argmin(roots))
+    eta = min(float(roots[assign]), 1.0)
+    return DetectionResult(eta=eta, eta_a=eta, eta_b=eta, model=best.model,
+                           noclick_a=tuple(int(v) for v in sa[assign]),
+                           noclick_b=tuple(int(v) for v in sb[assign]))
+
+
 def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
                             seed: int = 0, restarts: int = 8,
                             eta_tol: float = 1e-5,
                             allow_degenerate: bool = False, tol: float = 1e-10,
                             max_sweeps: int = 300) -> DetectionResult | None:
     """Threshold efficiency eta_A = eta_B = eta, optimizing measurements and
-    no-click strategies; None when there is no violation at eta = 1."""
+    no-click strategies; None when there is no violation at eta = 1.
+
+    At theta = pi/4 with rank-1 effects the threshold is a closed form over
+    one see-saw at fixed theta (`restarts` restarts; `eta_tol` is unused);
+    otherwise it is bisected."""
+    if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
+        return _eta_at_maximal_entanglement(f, seed=seed, restarts=restarts,
+                                            tol=tol, max_sweeps=max_sweeps)
     return _eta_threshold(f, theta, True, seed=seed, restarts=restarts,
                           eta_tol=eta_tol, allow_degenerate=allow_degenerate,
                           tol=tol, max_sweeps=max_sweeps)

@@ -124,7 +124,9 @@ def test_noise_theta_zero_is_usage_error(capsys):
 def test_flags_only_on_subcommands_that_read_them(capsys):
     for argv in (["qmax", "--name", "CHSH", "--jobs", "2"],
                  ["table1", "--only", "CHSH", "--theta", "0.2"],
-                 ["table1", "--only", "CHSH", "--degenerate"]):
+                 ["table1", "--only", "CHSH", "--degenerate"],
+                 ["eta", "--name", "I3322", "--restarts", "1"],
+                 ["eta-asym", "--name", "I3322", "--restarts", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -145,6 +147,30 @@ def test_eta_asym_sweep_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "theta_over_pi,eta_b"
     assert len(lines) >= 7
+
+
+def test_eta_asym_sweep_rejects_theta(capsys):
+    # the sweep scans its own grid of angles, so --theta would be ignored
+    code, out, err = run_cli(capsys, "eta-asym", "--name", "CHSH", "--sweep",
+                             "--theta", "0.05", "--inner-restarts", "4",
+                             "--format", "csv", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "--theta" in err
+
+
+def test_search_sampling_flags_need_random_mode(capsys):
+    space = ["search", "--ma", "2", "--mb", "2", "--corr-min", "-1",
+             "--corr-max", "1", "--marg-min", "-1", "--format", "json"]
+    for extra in (["--samples", "5"], ["--seed", "9"]):
+        code, out, err = run_cli(capsys, *space, *extra)
+        assert code == 2
+        assert out == ""
+        assert "--mode random" in err
+    code, out, _ = run_cli(capsys, *space, "--mode", "random", "--samples", "5",
+                           "--seed", "9")
+    assert code == 0
+    assert json.loads(out)["candidates_tested"] == 5
 
 
 def test_search_command(tmp_path, capsys):

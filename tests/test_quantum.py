@@ -12,8 +12,11 @@ from bellscan.quantum import (
     KIND_PROJECTOR,
     Measurement,
     QubitModel,
+    _coefficient_arrays,
     _joint_prob_angles,
     _joint_prob_angles_grad,
+    _seesaw_batch,
+    _values,
     model_behavior,
     projector,
     quantum_value_at,
@@ -120,6 +123,29 @@ def test_seesaw_monotone_history():
         for row in r.history:
             diffs = [b - a for a, b in zip(row, row[1:])]
             assert min(diffs) >= -1e-9
+
+
+@pytest.mark.parametrize("w", [1.0, 0.7])
+@pytest.mark.parametrize("allow_degenerate", [False, True])
+def test_fixed_theta_sweep_values_match_state(w, allow_degenerate):
+    # a fixed-theta sweep scores itself from its block maxima; that score
+    # must equal the value of the state it returns, stopped early or not
+    for name, theta, sweeps in (("I3322", math.pi / 4, 300), ("I4422_4", 0.6, 7),
+                                ("I4322_2", 0.3, 300)):
+        MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
+        n = 6
+        MA, MB = np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size))
+        state = _seesaw_batch(MA, MB, C, theta=np.full(n, theta), free_theta=False,
+                              w=w, allow_degenerate=allow_degenerate,
+                              rng=np.random.default_rng(3), max_sweeps=sweeps,
+                              record=True)
+        wc = w * np.cos(2 * state["theta"])
+        ws = w * np.sin(2 * state["theta"])
+        recomputed = _values(MA, MB, C, wc, ws, w, state["akind"], state["abloch"],
+                             state["bkind"], state["bbloch"])
+        assert np.max(np.abs(state["values"] - recomputed)) <= 1e-12
+        history = np.stack(state["history"], axis=1)
+        assert np.min(np.diff(history, axis=1)) >= -1e-9
 
 
 def test_seesaw_reaches_local_bound():

@@ -7,15 +7,41 @@ import pytest
 
 from bellscan.catalog import catalog_get
 from bellscan.core import Behavior, BellFunctional, StructuralError, evaluate
-from bellscan.quantum import model_behavior, projector, QubitModel
+from bellscan.quantum import _coefficient_arrays, model_behavior, projector, QubitModel
 from bellscan.robustness import (
     DetectionModel,
+    _assignment_bits,
+    _detected_max,
     detected_behavior,
     eta_threshold_asymmetric,
     eta_threshold_symmetric,
     noise_floor,
     noise_threshold,
 )
+
+ETA_CHSH = 2 / (math.sqrt(2) + 1)
+
+
+def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
+    """Oracle: the symmetric threshold at pi/4 bisected over the batched
+    detected maximum of every no-click assignment (rank-1 effects)."""
+    ma, mb = f.scenario.m_a, f.scenario.m_b
+    MA, MB, C = _coefficient_arrays(f)
+    bits = _assignment_bits(1 << (ma + mb), ma + mb)
+    rng = np.random.default_rng(seed)
+    warm = None
+    lo, hi = 0.0, 1.0
+    while hi - lo > eta_tol:
+        mid = 0.5 * (lo + hi)
+        value, _, _, warm = _detected_max(
+            MA, MB, C, math.pi / 4, mid, mid, bits[:, :ma], bits[:, ma:],
+            rng=rng, restarts=restarts, warm=warm, allow_degenerate=False,
+            tol=1e-10, max_sweeps=300)
+        if value > float(f.bound) + 1e-9:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_noise_floor_values():
@@ -89,8 +115,23 @@ def test_detected_behavior_preserves_box_constraints():
 def test_eta_symmetric_chsh_closed_form():
     r = eta_threshold_symmetric(catalog_get("CHSH").functional, seed=1, eta_tol=1e-7)
     assert r is not None
-    assert r.eta == pytest.approx(2 / (math.sqrt(2) + 1), abs=1e-6)
+    assert r.eta == pytest.approx(ETA_CHSH, abs=1e-9)
     assert r.eta_a == r.eta_b == r.eta
+
+
+@pytest.mark.parametrize("name", ["CHSH", "I3322", "I4322_2"])
+def test_eta_symmetric_closed_form_is_witnessed(name):
+    # at pi/4 the threshold is a closed form: the returned model and no-click
+    # bits must violate at the returned eta, and bisection must agree
+    f = catalog_get(name).functional
+    r = eta_threshold_symmetric(f, math.pi / 4, seed=1)
+    assert r.model.theta == math.pi / 4
+    d = DetectionModel(r.eta, r.eta, r.noclick_a, r.noclick_b)
+    value = float(evaluate(f, detected_behavior(model_behavior(r.model), d)))
+    assert value > float(f.bound)
+    assert r.eta == pytest.approx(bisected_eta(f), abs=1e-4)
+    if name == "CHSH":
+        assert r.eta == pytest.approx(ETA_CHSH, abs=1e-9)
 
 
 def test_eta_symmetric_none_when_no_violation():
