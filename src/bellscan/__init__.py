@@ -42,10 +42,8 @@ from .symmetry import (
     apply_transformation,
     canonical_form,
     canonical_key,
-    compose,
     equivalent,
     identity_transformation,
-    inverse,
     random_transformation,
     relabel_behavior,
     symmetric_representative,

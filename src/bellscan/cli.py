@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .catalog import CatalogKeyError, catalog_get, catalog_list
@@ -32,7 +31,6 @@ from .core import (
 from .polytope import facet_check, local_bound
 from .quantum import seesaw_maximize
 from .robustness import (
-    DEFAULT_SWEEP_THETAS,
     eta_asymmetric_sweep,
     eta_threshold_asymmetric,
     eta_threshold_symmetric,
@@ -411,7 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_opt_flags(p, restarts=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--inner-restarts", type=int, default=8,
-                   help=_INNER_RESTARTS_HELP)
+                   help="see-saw restarts per no-click assignment in the eta "
+                        "bisection of the degenerate-measurement row "
+                        "(I4422_4); every other row takes eta from its "
+                        "--restarts see-saw at theta/pi = 0.25")
     p.add_argument("--only", action="append",
                    help="restrict to specific catalog entries (repeatable)")
     p.set_defaults(func=_cmd_table1)

@@ -27,16 +27,19 @@ detected value is
         + eta^2 (sum C / 4 + Q(pi/4) - N),
 
 a quadratic in eta whose measurement optimum depends on neither s nor
-eta.  One fixed-theta see-saw gives Q(pi/4) and the model; the threshold
-is the smallest root, over all 2^(m_a+m_b) assignments, at the bound plus
-a small margin, so the model and the bits witness a violation there.
+eta.  The threshold is the smallest root, over all 2^(m_a+m_b)
+assignments, at the bound plus a small margin, so the model and the bits
+witness a violation there.  Both closed forms, w* and this eta, read one
+fixed-theta see-saw optimum for Q(pi/4); a caller that already holds that
+optimum (the benchmark table does) passes it on instead of re-running it.
 
 Elsewhere (theta < pi/4, degenerate effects, or the one-sided eta_B)
 thresholds are bisected on the efficiency; monotonicity holds because a
 party can always discard detections to simulate a lower efficiency.  The
 inner maximization runs one batched see-saw over all no-click
 assignments times restarts, warm started from the previous bisection
-step.
+step.  Every bisection stops at width 1e-5; every detection see-saw runs
+at most 300 sweeps.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import numpy as np
 
 from .core import Behavior, BellFunctional, StructuralError
 from .quantum import (
+    QuantumResult,
     QubitModel,
     _coefficient_arrays,
     _model_from_row,
@@ -70,6 +74,8 @@ __all__ = [
 ]
 
 _VIOLATION_MARGIN = 1e-9
+_BISECTION_WIDTH = 1e-5
+_ETA_SWEEPS = 300
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,21 @@ def noise_floor(f: BellFunctional) -> Fraction:
             + Fraction(sum(v for row in f.corr for v in row), 4))
 
 
-def _bisect_threshold(violated_at, info, tol: float):
+def _visibility_threshold(f: BellFunctional, value: float) -> float | None:
+    """Closed-form w* = (bound - N) / (Q - N) from a rank-1 optimum Q; None
+    when Q does not violate."""
+    bound = float(f.bound)
+    if value <= bound + _VIOLATION_MARGIN:
+        return None
+    floor = float(noise_floor(f))
+    return (bound - floor) / (value - floor)
+
+
+def _bisect_threshold(violated_at, info):
     """Bisect for the smallest p in (0, 1] with violated_at(p) -> (True, info);
     `info` belongs to p = 1 and is returned if no smaller p violates."""
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         violated, res = violated_at(mid)
         if violated:
@@ -127,24 +143,23 @@ def _bisect_threshold(violated_at, info, tol: float):
 
 def noise_threshold(f: BellFunctional, theta: float, *,
                     allow_degenerate: bool = False, restarts: int = 50,
-                    seed: int = 0, tol: float = 1e-10, w_tol: float = 1e-5,
-                    max_sweeps: int = 500) -> NoiseResult | None:
+                    seed: int = 0, tol: float = 1e-10) -> NoiseResult | None:
     """Smallest visibility w at which |psi(theta)> still violates f.
 
     Returns None when the state does not violate even at w = 1.
     """
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
-    bound = float(f.bound)
     best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=theta,
-                           allow_degenerate=allow_degenerate, tol=tol,
-                           max_sweeps=max_sweeps)
+                           allow_degenerate=allow_degenerate, tol=tol)
+    if not allow_degenerate:
+        w = _visibility_threshold(f, best.value)
+        if w is None:
+            return None
+        return NoiseResult(w_threshold=w, theta=theta, model=best.model)
+    bound = float(f.bound)
     if best.value <= bound + _VIOLATION_MARGIN:
         return None
-    if not allow_degenerate:
-        floor = float(noise_floor(f))
-        w = (bound - floor) / (best.value - floor)
-        return NoiseResult(w_threshold=w, theta=theta, model=best.model)
 
     # identity effects make the noise term measurement-dependent: bisect,
     # re-optimizing at each visibility
@@ -156,12 +171,12 @@ def noise_threshold(f: BellFunctional, theta: float, *,
         state = _seesaw_batch(
             np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
             theta=np.full(n, theta), free_theta=False, w=w,
-            allow_degenerate=True, rng=rng, tol=tol, max_sweeps=max_sweeps)
+            allow_degenerate=True, rng=rng, tol=tol)
         row = int(np.argmax(state["values"]))
         return (state["values"][row] > bound + _VIOLATION_MARGIN,
                 _model_from_row(state, row))
 
-    w, model = _bisect_threshold(violated_at, best.model, w_tol)
+    w, model = _bisect_threshold(violated_at, best.model)
     return NoiseResult(w_threshold=w, theta=theta, model=model)
 
 
@@ -232,9 +247,8 @@ def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
 
 
 def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
-                   seed: int, restarts: int, eta_tol: float,
-                   allow_degenerate: bool, tol: float,
-                   max_sweeps: int) -> DetectionResult | None:
+                   seed: int, restarts: int, allow_degenerate: bool,
+                   tol: float) -> DetectionResult | None:
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
     ma, mb = f.scenario.m_a, f.scenario.m_b
@@ -257,13 +271,13 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
         value, assign, model, warm = _detected_max(
             MA, MB, C, theta, ea, eb, sa, sb, rng=rng, restarts=restarts,
             warm=warm, allow_degenerate=allow_degenerate, tol=tol,
-            max_sweeps=max_sweeps)
+            max_sweeps=_ETA_SWEEPS)
         return value > bound + _VIOLATION_MARGIN, (assign, model)
 
     violated, info = violated_at(1.0)
     if not violated:
         return None
-    eta, (assign, model) = _bisect_threshold(violated_at, info, eta_tol)
+    eta, (assign, model) = _bisect_threshold(violated_at, info)
     noclick_a = tuple(int(v) for v in sa[assign])
     noclick_b = tuple(int(v) for v in sb[assign])
     ea, eb = (eta, eta) if symmetric else (1.0, eta)
@@ -271,14 +285,12 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
                            noclick_a=noclick_a, noclick_b=noclick_b)
 
 
-def _eta_at_maximal_entanglement(f: BellFunctional, *, seed: int, restarts: int,
-                                 tol: float,
-                                 max_sweeps: int) -> DetectionResult | None:
+def _eta_at_maximal_entanglement(f: BellFunctional,
+                                 best: QuantumResult) -> DetectionResult | None:
     """Closed-form symmetric threshold at theta = pi/4 with rank-1 effects
-    (see the module docstring); the quadratic for bits s is written as
-    det_s + b_s eta + d_s eta^2, with det_s the value of local strategy s."""
-    best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4,
-                           tol=tol, max_sweeps=max_sweeps)
+    from the fixed-theta optimum `best` (see the module docstring); the
+    quadratic for bits s is written as det_s + b_s eta + d_s eta^2, with
+    det_s the value of local strategy s."""
     target = float(f.bound) + _VIOLATION_MARGIN
     if best.value <= target:
         return None
@@ -312,32 +324,30 @@ def _eta_at_maximal_entanglement(f: BellFunctional, *, seed: int, restarts: int,
 
 def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
                             seed: int = 0, restarts: int = 8,
-                            eta_tol: float = 1e-5,
-                            allow_degenerate: bool = False, tol: float = 1e-10,
-                            max_sweeps: int = 300) -> DetectionResult | None:
+                            allow_degenerate: bool = False,
+                            tol: float = 1e-10) -> DetectionResult | None:
     """Threshold efficiency eta_A = eta_B = eta, optimizing measurements and
     no-click strategies; None when there is no violation at eta = 1.
 
     At theta = pi/4 with rank-1 effects the threshold is a closed form over
-    one see-saw at fixed theta (`restarts` restarts; `eta_tol` is unused);
-    otherwise it is bisected."""
+    one see-saw at fixed theta (`restarts` restarts); otherwise it is
+    bisected."""
     if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
-        return _eta_at_maximal_entanglement(f, seed=seed, restarts=restarts,
-                                            tol=tol, max_sweeps=max_sweeps)
+        best = seesaw_maximize(f, restarts=restarts, seed=seed,
+                               theta=math.pi / 4, tol=tol,
+                               max_sweeps=_ETA_SWEEPS)
+        return _eta_at_maximal_entanglement(f, best)
     return _eta_threshold(f, theta, True, seed=seed, restarts=restarts,
-                          eta_tol=eta_tol, allow_degenerate=allow_degenerate,
-                          tol=tol, max_sweeps=max_sweeps)
+                          allow_degenerate=allow_degenerate, tol=tol)
 
 
 def eta_threshold_asymmetric(f: BellFunctional, theta: float = math.pi / 4, *,
                              seed: int = 0, restarts: int = 8,
-                             eta_tol: float = 1e-5,
-                             allow_degenerate: bool = False, tol: float = 1e-10,
-                             max_sweeps: int = 300) -> DetectionResult | None:
+                             allow_degenerate: bool = False,
+                             tol: float = 1e-10) -> DetectionResult | None:
     """Threshold eta_B with a perfect detector on Alice's side (eta_A = 1)."""
     return _eta_threshold(f, theta, False, seed=seed, restarts=restarts,
-                          eta_tol=eta_tol, allow_degenerate=allow_degenerate,
-                          tol=tol, max_sweeps=max_sweeps)
+                          allow_degenerate=allow_degenerate, tol=tol)
 
 
 def _default_sweep_thetas() -> tuple[float, ...]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator
 
@@ -35,8 +34,6 @@ __all__ = [
     "random_transformation",
     "all_transformations",
     "transformation_count",
-    "compose",
-    "inverse",
     "apply_transformation",
     "relabel_behavior",
     "canonical_form",
@@ -115,8 +112,8 @@ def all_transformations(s: Scenario) -> Iterator[Transformation]:
 
 
 # ---------------------------------------------------------------------------
-# Group structure via "source maps": a transformation is determined by where
-# each relabeled (party, setting) reads from, together with a flip bit.
+# Source maps: a transformation is determined by where each relabeled
+# (party, setting) reads from, together with a flip bit.
 # ---------------------------------------------------------------------------
 
 def _source_map(t: Transformation) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -132,56 +129,6 @@ def _source_map(t: Transformation) -> dict[tuple[int, int], tuple[int, int, int]
             j = perm[i]
             out[(party, i)] = (src_party, j, flip[j])
     return out
-
-
-def _from_source_map(src, ma: int, mb: int) -> Transformation:
-    swap = src[(0, 0)][0] == 1
-    aperm = [0] * ma
-    bperm = [0] * mb
-    aflips = [0] * ma
-    bflips = [0] * mb
-    if not swap:
-        for i in range(ma):
-            _, j, fl = src[(0, i)]
-            aperm[i] = j
-            aflips[j] = fl
-        for i in range(mb):
-            _, j, fl = src[(1, i)]
-            bperm[i] = j
-            bflips[j] = fl
-    else:
-        for i in range(ma):
-            _, j, fl = src[(0, i)]
-            bperm[i] = j
-            bflips[j] = fl
-        for i in range(mb):
-            _, j, fl = src[(1, i)]
-            aperm[i] = j
-            aflips[j] = fl
-    return Transformation(tuple(aperm), tuple(bperm), tuple(aflips), tuple(bflips), swap)
-
-
-def compose(outer: Transformation, inner: Transformation) -> Transformation:
-    """Transformation applying `inner` first: apply(f, compose(outer, inner))
-    equals apply(apply(f, inner), outer)."""
-    if (len(outer.alice_perm), len(outer.bob_perm)) != (
-            len(inner.alice_perm), len(inner.bob_perm)):
-        raise StructuralError("cannot compose transformations of different scenarios")
-    src_outer = _source_map(outer)
-    src_inner = _source_map(inner)
-    combined = {}
-    for label, (p1, i1, f1) in src_outer.items():
-        p2, i2, f2 = src_inner[(p1, i1)]
-        combined[label] = (p2, i2, f1 ^ f2)
-    return _from_source_map(combined, len(outer.alice_perm), len(outer.bob_perm))
-
-
-def inverse(t: Transformation) -> Transformation:
-    src = _source_map(t)
-    inv = {}
-    for label, (p, i, fl) in src.items():
-        inv[(p, i)] = (label[0], label[1], fl)
-    return _from_source_map(inv, len(t.alice_perm), len(t.bob_perm))
 
 
 # ---------------------------------------------------------------------------

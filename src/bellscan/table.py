@@ -7,6 +7,11 @@ and the symmetric detection-efficiency threshold at maximal entanglement
 (eta).  The I4422_4 row automatically allows degenerate measurements,
 since rank-1 projectors cannot violate it at maximal entanglement; every
 other row uses rank-1 projectors throughout.
+
+A rank-1 row runs two see-saws: the free one gives the violation, the
+angle and w_max; the one at theta = pi/4 gives both w and eta through the
+closed forms in `robustness`.  Only the degenerate row bisects (twice for
+the visibilities, once for eta with `eta_restarts` restarts).
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ from dataclasses import dataclass
 
 from .catalog import PRIMARY_NAMES, catalog_get
 from .quantum import seesaw_maximize
-from .robustness import eta_threshold_symmetric, noise_floor, noise_threshold
+from .robustness import (
+    _eta_at_maximal_entanglement,
+    _visibility_threshold,
+    eta_threshold_symmetric,
+    noise_threshold,
+)
 from .core import StructuralError
 
 __all__ = ["ReportRow", "compute_row", "compute_table", "format_table"]
@@ -40,8 +50,7 @@ def _row_seed(seed: int, index: int) -> int:
 
 
 def compute_row(name: str, *, seed: int = 0, restarts: int = 50,
-                eta_restarts: int = 8, tol: float = 1e-10,
-                eta_tol: float = 1e-5) -> ReportRow:
+                eta_restarts: int = 8, tol: float = 1e-10) -> ReportRow:
     entry = catalog_get(name)
     f = entry.functional
     degenerate = name in DEGENERATE_ROWS
@@ -61,16 +70,15 @@ def compute_row(name: str, *, seed: int = 0, restarts: int = 50,
                                 restarts=restarts, seed=seed, tol=tol)
         w_max = w_max_res.w_threshold if w_max_res else None
         w = w_res.w_threshold if w_res else None
+        eta_res = eta_threshold_symmetric(f, math.pi / 4, seed=seed,
+                                          restarts=eta_restarts,
+                                          allow_degenerate=True, tol=tol)
     else:
-        floor = float(noise_floor(f))
-        w_max = (bound - floor) / (qres.value - floor)
-        q_flat = seesaw_maximize(f, restarts=restarts, seed=seed,
-                                 theta=math.pi / 4, tol=tol).value
-        w = (bound - floor) / (q_flat - floor) if q_flat > bound + 1e-9 else None
-
-    eta_res = eta_threshold_symmetric(f, math.pi / 4, seed=seed,
-                                      restarts=eta_restarts, eta_tol=eta_tol,
-                                      allow_degenerate=degenerate, tol=tol)
+        flat = seesaw_maximize(f, restarts=restarts, seed=seed,
+                               theta=math.pi / 4, tol=tol)
+        w_max = _visibility_threshold(f, qres.value)
+        w = _visibility_threshold(f, flat.value)
+        eta_res = _eta_at_maximal_entanglement(f, flat)
     eta = eta_res.eta if eta_res else None
     return ReportRow(name, qres.value, qres.theta_max / math.pi, w_max, w, eta)
 
@@ -82,7 +90,7 @@ def _worker(args) -> ReportRow:
 
 def compute_table(names=None, *, seed: int = 0, restarts: int = 50,
                   eta_restarts: int = 8, tol: float = 1e-10,
-                  eta_tol: float = 1e-5, jobs: int = 1) -> list[ReportRow]:
+                  jobs: int = 1) -> list[ReportRow]:
     """Rows in catalog order; per-row seeds derive from (seed, catalog index)
     so the output is independent of the worker count."""
     if names is None:
@@ -93,8 +101,7 @@ def compute_table(names=None, *, seed: int = 0, restarts: int = 50,
     ordered = [n for n in PRIMARY_NAMES if n in set(names)]
     tasks = [
         (name, dict(seed=_row_seed(seed, PRIMARY_NAMES.index(name)),
-                    restarts=restarts, eta_restarts=eta_restarts,
-                    tol=tol, eta_tol=eta_tol))
+                    restarts=restarts, eta_restarts=eta_restarts, tol=tol))
         for name in ordered
     ]
     if jobs <= 1 or len(tasks) <= 1:

@@ -42,8 +42,6 @@ from bellscan.quantum import (
     QubitModel,
     quantum_value_at,
     seesaw_maximize,
-    _joint_prob_angles,
-    _joint_prob_angles_grad,
 )
 from bellscan.robustness import (
     DetectionModel,
@@ -61,6 +59,7 @@ from bellscan.symmetry import (
     symmetric_representative,
 )
 from bellscan.table import DEGENERATE_ROWS, compute_row
+from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
 
 SEED = 0
 CHSH_MAX = 1 / math.sqrt(2) - 0.5
@@ -336,8 +335,7 @@ def test_criterion_6_detection_thresholds(table_rows):
             failures.append(
                 f"{name}: eta {row.eta_symmetric:.4f} vs reference {ref_eta:.4f}")
 
-    fine = eta_threshold_symmetric(catalog_get("CHSH").functional,
-                                   seed=SEED, eta_tol=1e-7)
+    fine = eta_threshold_symmetric(catalog_get("CHSH").functional, seed=SEED)
     if abs(fine.eta - 2 / (math.sqrt(2) + 1)) > 1e-6:
         failures.append("eta(CHSH) not within 1e-6 of 2/(sqrt(2)+1)")
 

@@ -13,8 +13,6 @@ from bellscan.quantum import (
     Measurement,
     QubitModel,
     _coefficient_arrays,
-    _joint_prob_angles,
-    _joint_prob_angles_grad,
     _seesaw_batch,
     _values,
     model_behavior,
@@ -22,6 +20,7 @@ from bellscan.quantum import (
     quantum_value_at,
     seesaw_maximize,
 )
+from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
 
 CHSH_MAX = 1 / math.sqrt(2) - 0.5
 

@@ -5,13 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bellscan import table
 from bellscan.catalog import catalog_get
 from bellscan.core import Behavior, BellFunctional, StructuralError, evaluate
-from bellscan.quantum import _coefficient_arrays, model_behavior, projector, QubitModel
+from bellscan.quantum import (
+    _coefficient_arrays,
+    model_behavior,
+    projector,
+    QubitModel,
+    seesaw_maximize,
+)
 from bellscan.robustness import (
     DetectionModel,
     _assignment_bits,
     _detected_max,
+    _eta_at_maximal_entanglement,
     detected_behavior,
     eta_threshold_asymmetric,
     eta_threshold_symmetric,
@@ -113,7 +121,7 @@ def test_detected_behavior_preserves_box_constraints():
 
 
 def test_eta_symmetric_chsh_closed_form():
-    r = eta_threshold_symmetric(catalog_get("CHSH").functional, seed=1, eta_tol=1e-7)
+    r = eta_threshold_symmetric(catalog_get("CHSH").functional, seed=1)
     assert r is not None
     assert r.eta == pytest.approx(ETA_CHSH, abs=1e-9)
     assert r.eta_a == r.eta_b == r.eta
@@ -132,6 +140,58 @@ def test_eta_symmetric_closed_form_is_witnessed(name):
     assert r.eta == pytest.approx(bisected_eta(f), abs=1e-4)
     if name == "CHSH":
         assert r.eta == pytest.approx(ETA_CHSH, abs=1e-9)
+
+
+def _count_table_calls(monkeypatch):
+    """Route the table's see-saw and threshold calls through recorders."""
+    calls = {"seesaw": [], "eta_threshold_symmetric": 0, "noise_threshold": 0}
+
+    def seesaw(*args, **kwargs):
+        res = seesaw_maximize(*args, **kwargs)
+        calls["seesaw"].append((kwargs.get("theta"), res))
+        return res
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(table, "seesaw_maximize", seesaw)
+    monkeypatch.setattr(table, "eta_threshold_symmetric",
+                        counted("eta_threshold_symmetric", eta_threshold_symmetric))
+    monkeypatch.setattr(table, "noise_threshold",
+                        counted("noise_threshold", noise_threshold))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["CHSH", "I3322", "I4322_2"])
+def test_table_row_reads_w_and_eta_from_one_optimum_at_pi_over_4(name, monkeypatch):
+    # a rank-1 row runs the free see-saw and one at pi/4; w and eta are
+    # closed forms of the second, with no see-saw of their own
+    calls = _count_table_calls(monkeypatch)
+    row = table.compute_row(name, seed=3)
+    assert [theta for theta, _ in calls["seesaw"]] == [None, math.pi / 4]
+    assert calls["eta_threshold_symmetric"] == calls["noise_threshold"] == 0
+    f = catalog_get(name).functional
+    flat = calls["seesaw"][1][1]
+    floor = float(noise_floor(f))
+    assert row.w == (float(f.bound) - floor) / (flat.value - floor)
+    r = _eta_at_maximal_entanglement(f, flat)
+    assert row.eta_symmetric == r.eta
+    d = DetectionModel(r.eta, r.eta, r.noclick_a, r.noclick_b)
+    value = float(evaluate(f, detected_behavior(model_behavior(flat.model), d)))
+    assert value > float(f.bound)
+
+
+def test_table_degenerate_row_bisects(monkeypatch):
+    # I4422_4 needs identity/zero effects, where no closed form holds
+    calls = _count_table_calls(monkeypatch)
+    row = table.compute_row("I4422_4", seed=0, restarts=8, eta_restarts=2)
+    assert [theta for theta, _ in calls["seesaw"]] == [None]
+    assert calls["noise_threshold"] == 2
+    assert calls["eta_threshold_symmetric"] == 1
+    assert row.w is not None and row.eta_symmetric is not None
 
 
 def test_eta_symmetric_none_when_no_violation():

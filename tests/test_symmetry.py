@@ -20,10 +20,8 @@ from bellscan.symmetry import (
     apply_transformation,
     canonical_form,
     canonical_key,
-    compose,
     equivalent,
     identity_transformation,
-    inverse,
     random_transformation,
     relabel_behavior,
     symmetric_representative,
@@ -117,20 +115,6 @@ def test_value_minus_bound_is_invariant():
         g = apply_transformation(f, t)
         q = relabel_behavior(p, t)
         assert evaluate(f, p) - f.bound == evaluate(g, q) - g.bound
-
-
-def test_compose_and_inverse():
-    rng = random.Random(4242)
-    for _ in range(40):
-        scenario = rng.choice([Scenario(2, 2), Scenario(3, 3), Scenario(4, 2)])
-        f = random_functional(rng, scenario)
-        t1 = random_transformation(scenario, rng)
-        t2 = random_transformation(scenario, rng)
-        lhs = apply_transformation(apply_transformation(f, t1), t2)
-        rhs = apply_transformation(f, compose(t2, t1))
-        assert lhs == rhs
-        assert apply_transformation(f, compose(t1, inverse(t1))) == f
-        assert apply_transformation(f, compose(inverse(t1), t1)) == f
 
 
 def test_canonical_form_idempotent_and_matches_bruteforce():
