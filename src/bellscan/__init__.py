@@ -55,7 +55,6 @@ from .quantum import (
     QubitModel,
     model_behavior,
     projector,
-    quantum_value_at,
     seesaw_maximize,
 )
 from .robustness import (
@@ -73,7 +72,6 @@ from .search import (
     FacetFinding,
     SearchConfig,
     SearchReport,
-    generate_candidates,
     run_search,
 )
 from .table import ReportRow, compute_row, compute_table

@@ -202,7 +202,7 @@ def _cmd_qmax(args) -> int:
                           allow_degenerate=args.degenerate, tol=args.tol)
     payload = {"name": name, "value": res.value, "violation": res.violation,
                "theta_max_over_pi": res.theta_max / math.pi,
-               "restarts": res.restarts_used}
+               "restarts": res.restarts_used, "sweeps": res.sweeps}
     _emit(payload, args, [
         f"value: {res.value:.6f}",
         f"violation: {res.violation:.6f}",

@@ -25,7 +25,10 @@ the objective is monotone nondecreasing; global quality comes from seeded
 random restarts, which run batched.  The rows of a batch may carry their
 own marginal coefficients but share one correlation table.  At fixed
 theta a sweep's value comes free with Bob's update: it is Alice's
-marginal term plus the sum of Bob's per-setting block maxima.
+marginal term plus the sum of Bob's per-setting block maxima.  A
+decision call ("does some row beat this target?") passes a target and
+stops after the first sweep in which a row exceeds it; monotone ascent
+means the answer of a full run would be the same.
 
 The engine also accepts a visibility w, optimizing over measurements on
 the isotropic mixture w|psi><psi| + (1-w) 1/4 at fixed theta; this is what
@@ -48,7 +51,6 @@ __all__ = [
     "QuantumResult",
     "model_behavior",
     "seesaw_maximize",
-    "quantum_value_at",
 ]
 
 KIND_PROJECTOR = "projector"
@@ -112,6 +114,7 @@ class QuantumResult:
     theta_max: float
     model: QubitModel
     restarts_used: int
+    sweeps: int
     history: tuple[tuple[float, ...], ...] | None = None
 
 
@@ -261,10 +264,13 @@ def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
 
 
 def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False,
-                  rng=None, init=None, tol=1e-10, max_sweeps=500, record=False):
+                  rng=None, init=None, tol=1e-10, max_sweeps=500, record=False,
+                  target=None):
     """Run one batched see-saw; returns the final state of every row.
 
     MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is shared.
+    A target (scalar or per row) ends the run after the first sweep in
+    which some row's value exceeds it.
     """
     MA = np.ascontiguousarray(MA, dtype=float)
     MB = np.ascontiguousarray(MB, dtype=float)
@@ -310,6 +316,8 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
         if record:
             history.append(values.copy())
         if np.max(np.abs(delta)) < tol:
+            break
+        if target is not None and np.any(values > target):
             break
     return {
         "values": values, "theta": theta,
@@ -383,14 +391,7 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
         theta_max=model.theta,
         model=model,
         restarts_used=restarts,
+        sweeps=state["sweeps"],
         history=history,
     )
 
-
-def quantum_value_at(f: BellFunctional, theta: float, allow_degenerate: bool = False,
-                     *, restarts: int = 50, seed: int = 0, tol: float = 1e-10,
-                     max_sweeps: int = 500) -> float:
-    """Raw maximal I at a fixed Schmidt angle."""
-    return seesaw_maximize(
-        f, restarts=restarts, seed=seed, theta=theta,
-        allow_degenerate=allow_degenerate, tol=tol, max_sweeps=max_sweeps).value

@@ -38,8 +38,12 @@ thresholds are bisected on the efficiency; monotonicity holds because a
 party can always discard detections to simulate a lower efficiency.  The
 inner maximization runs one batched see-saw over all no-click
 assignments times restarts, warm started from the previous bisection
-step.  Every bisection stops at width 1e-5; every detection see-saw runs
-at most 300 sweeps.
+step.  Every bisection stops at width 1e-5.  A bisection step only asks
+whether some measurement choice beats the bound plus the margin, so its
+see-saw stops after the first sweep in which a row does; every see-saw
+step is an exact block maximum, so that row's value can only rise and a
+full run would give the same answer.  A step that finds no violation runs
+to convergence, or to 300 sweeps for detection (500 for noise).
 """
 
 from __future__ import annotations
@@ -171,7 +175,8 @@ def noise_threshold(f: BellFunctional, theta: float, *,
         state = _seesaw_batch(
             np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
             theta=np.full(n, theta), free_theta=False, w=w,
-            allow_degenerate=True, rng=rng, tol=tol)
+            allow_degenerate=True, rng=rng, tol=tol,
+            target=bound + _VIOLATION_MARGIN)
         row = int(np.argmax(state["values"]))
         return (state["values"][row] > bound + _VIOLATION_MARGIN,
                 _model_from_row(state, row))
@@ -220,22 +225,26 @@ def _effective_tables(MA, MB, C, eta_a, eta_b, sa, sb):
 
 
 def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
-                  warm, allow_degenerate, tol, max_sweeps):
-    """Max of I over measurements and the supplied no-click assignments."""
+                  warm, allow_degenerate, tol, max_sweeps, target=None):
+    """Max of I over measurements and the supplied no-click assignments.
+
+    With a target the see-saw stops once some detected value exceeds it."""
     n = sa.shape[0]
     MA_eff, MB_eff, const = _effective_tables(MA, MB, C, eta_a, eta_b, sa, sb)
     r = restarts
     total_rows = n * r
     big_ma = np.repeat(MA_eff, r, axis=0)
     big_mb = np.repeat(MB_eff, r, axis=0)
+    row_const = np.repeat(const, r)
     init = None
     if warm is not None:
         init = {"rows": np.arange(n) * r, **warm}
     state = _seesaw_batch(big_ma, big_mb, eta_a * eta_b * C,
                           theta=np.full(total_rows, theta), free_theta=False,
                           allow_degenerate=allow_degenerate, rng=rng, init=init,
-                          tol=tol, max_sweeps=max_sweeps)
-    totals = (state["values"] + np.repeat(const, r)).reshape(n, r)
+                          tol=tol, max_sweeps=max_sweeps,
+                          target=None if target is None else target - row_const)
+    totals = (state["values"] + row_const).reshape(n, r)
     best_r = totals.argmax(axis=1)
     best_rows = np.arange(n) * r + best_r
     warm_out = {k: state[k][best_rows].copy()
@@ -271,7 +280,7 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
         value, assign, model, warm = _detected_max(
             MA, MB, C, theta, ea, eb, sa, sb, rng=rng, restarts=restarts,
             warm=warm, allow_degenerate=allow_degenerate, tol=tol,
-            max_sweeps=_ETA_SWEEPS)
+            max_sweeps=_ETA_SWEEPS, target=bound + _VIOLATION_MARGIN)
         return value > bound + _VIOLATION_MARGIN, (assign, model)
 
     violated, info = violated_at(1.0)

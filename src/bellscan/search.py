@@ -38,14 +38,13 @@ from .core import (
     lift,
     serialize_functional,
 )
-from .polytope import _strategy_values, facet_check, local_bound, ns_dimension
+from .polytope import _strategy_values, facet_check, ns_dimension
 from .symmetry import canonical_form, canonical_key
 
 __all__ = [
     "SearchConfig",
     "FacetFinding",
     "SearchReport",
-    "generate_candidates",
     "run_search",
     "EXHAUSTIVE_CAP",
 ]
@@ -134,14 +133,6 @@ def _build(cfg: SearchConfig, am, bm, flat, bound) -> BellFunctional:
     corr = [flat[x * mb:(x + 1) * mb] for x in range(cfg.scenario.m_a)]
     return BellFunctional(cfg.scenario, am, bm, tuple(tuple(r) for r in corr),
                           Fraction(bound))
-
-
-def generate_candidates(cfg: SearchConfig) -> Iterator[BellFunctional]:
-    """Candidate functionals with the bound set to the exact local bound."""
-    for am, bm, flat in _raw_candidates(cfg):
-        f = _build(cfg, am, bm, flat, 0)
-        yield BellFunctional(cfg.scenario, f.alice_marg, f.bob_marg, f.corr,
-                             local_bound(f))
 
 
 def _trivial_key(scenario: Scenario):

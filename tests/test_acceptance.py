@@ -40,7 +40,6 @@ from bellscan.quantum import (
     model_behavior,
     projector,
     QubitModel,
-    quantum_value_at,
     seesaw_maximize,
 )
 from bellscan.robustness import (
@@ -253,7 +252,7 @@ def test_criterion_4_quantum_violations(table_rows):
         failures.append("CHSH theta not within 1e-6 of 1/4")
 
     f4 = catalog_get("I4422_4").functional
-    rank1 = quantum_value_at(f4, math.pi / 4, False, restarts=50, seed=SEED)
+    rank1 = seesaw_maximize(f4, restarts=50, seed=SEED, theta=math.pi / 4).value
     if rank1 > 1e-6:
         failures.append(f"I4422_4 rank-1 value at pi/4 is {rank1:.2e} > 1e-6")
     # the model behind the I4422_4 violation cell: zero effects on Alice's
@@ -271,7 +270,8 @@ def test_criterion_4_quantum_violations(table_rows):
     if abs(embedded - REFERENCE["I4422_4"][0]) > 1e-4:
         failures.append(f"I4422_4 double-CH model gives {embedded:.4f}, "
                         f"reference {REFERENCE['I4422_4'][0]:.4f}")
-    deg = quantum_value_at(f4, math.pi / 4, True, restarts=50, seed=SEED)
+    deg = seesaw_maximize(f4, restarts=50, seed=SEED, theta=math.pi / 4,
+                          allow_degenerate=True).value
     if abs(deg - 2 * CHSH_MAX) > 1e-4:
         failures.append(
             f"I4422_4 degenerate value at pi/4 is {deg:.4f}, "
@@ -282,15 +282,15 @@ def test_criterion_4_quantum_violations(table_rows):
     for name, paper_t in REFUTED_THETA.items():
         f = catalog_get(name).functional
         ref_v, ref_t = REFERENCE[name][0], REFERENCE[name][1]
-        at_paper = quantum_value_at(f, fold(paper_t) * math.pi,
-                                    restarts=50, seed=SEED)
+        at_paper = seesaw_maximize(f, restarts=50, seed=SEED,
+                                   theta=fold(paper_t) * math.pi).value
         if ref_v - at_paper <= REFUTATION_GAP:
             failures.append(
                 f"{name}: value {at_paper:.4f} at the paper's theta/pi "
                 f"{fold(paper_t):.4f} is within {REFUTATION_GAP} of the "
                 f"violation {ref_v:.4f}; the paper's cell is not refuted")
-        at_ref = quantum_value_at(f, fold(ref_t) * math.pi,
-                                  restarts=50, seed=SEED)
+        at_ref = seesaw_maximize(f, restarts=50, seed=SEED,
+                                 theta=fold(ref_t) * math.pi).value
         if abs(at_ref - ref_v) > 1e-3:
             failures.append(
                 f"{name}: value {at_ref:.4f} at reference theta/pi "

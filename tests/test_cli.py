@@ -5,6 +5,7 @@ import pytest
 from bellscan.catalog import catalog_get
 from bellscan.cli import main
 from bellscan.core import parse_functional, serialize_functional
+from bellscan.quantum import seesaw_maximize
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,8 @@ def test_qmax_json(capsys):
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(0.207107, abs=1e-5)
     assert payload["theta_max_over_pi"] == pytest.approx(0.25, abs=1e-5)
+    full = seesaw_maximize(catalog_get("CHSH").functional, restarts=10, seed=3)
+    assert payload["sweeps"] == full.sweeps
 
 
 def test_qmax_not_violating_exits_one(tmp_path, capsys):

@@ -17,7 +17,6 @@ from bellscan.quantum import (
     _values,
     model_behavior,
     projector,
-    quantum_value_at,
     seesaw_maximize,
 )
 from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
@@ -103,7 +102,7 @@ def test_i3322_free_theta():
 def test_product_state_never_violates():
     for name in ("CHSH", "I3322", "AS2"):
         f = catalog_get(name).functional
-        v = quantum_value_at(f, 0.0, restarts=10, seed=7)
+        v = seesaw_maximize(f, restarts=10, seed=7, theta=0.0).value
         assert v <= float(f.bound) + 1e-9
 
 
@@ -124,27 +123,81 @@ def test_seesaw_monotone_history():
             assert min(diffs) >= -1e-9
 
 
+def _fixed_batch(name, theta, w, allow_degenerate, **kwargs):
+    """A recorded fixed-theta batch of six restarts; returns the state and
+    its (rows, sweeps + 1) history after checking both."""
+    MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
+    n = 6
+    MA, MB = np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size))
+    state = _seesaw_batch(MA, MB, C, theta=np.full(n, theta), free_theta=False,
+                          w=w, allow_degenerate=allow_degenerate,
+                          rng=np.random.default_rng(3), record=True, **kwargs)
+    # a fixed-theta sweep scores itself from its block maxima; that score
+    # must equal the value of the state it returns, stopped early or not
+    wc = w * np.cos(2 * state["theta"])
+    ws = w * np.sin(2 * state["theta"])
+    recomputed = _values(MA, MB, C, wc, ws, w, state["akind"], state["abloch"],
+                         state["bkind"], state["bbloch"])
+    assert np.max(np.abs(state["values"] - recomputed)) <= 1e-12
+    history = np.stack(state["history"], axis=1)
+    assert history.shape[1] == state["sweeps"] + 1
+    assert np.min(np.diff(history, axis=1)) >= -1e-9
+    return state, history
+
+
 @pytest.mark.parametrize("w", [1.0, 0.7])
 @pytest.mark.parametrize("allow_degenerate", [False, True])
 def test_fixed_theta_sweep_values_match_state(w, allow_degenerate):
-    # a fixed-theta sweep scores itself from its block maxima; that score
-    # must equal the value of the state it returns, stopped early or not
     for name, theta, sweeps in (("I3322", math.pi / 4, 300), ("I4422_4", 0.6, 7),
                                 ("I4322_2", 0.3, 300)):
-        MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
-        n = 6
-        MA, MB = np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size))
-        state = _seesaw_batch(MA, MB, C, theta=np.full(n, theta), free_theta=False,
-                              w=w, allow_degenerate=allow_degenerate,
-                              rng=np.random.default_rng(3), max_sweeps=sweeps,
-                              record=True)
-        wc = w * np.cos(2 * state["theta"])
-        ws = w * np.sin(2 * state["theta"])
-        recomputed = _values(MA, MB, C, wc, ws, w, state["akind"], state["abloch"],
-                             state["bkind"], state["bbloch"])
-        assert np.max(np.abs(state["values"] - recomputed)) <= 1e-12
-        history = np.stack(state["history"], axis=1)
-        assert np.min(np.diff(history, axis=1)) >= -1e-9
+        _fixed_batch(name, theta, w, allow_degenerate, max_sweeps=sweeps)
+
+
+DECISION_CASES = (("I4322_2", 0.3, 1.0, False), ("I4422_4", 0.6, 0.7, True),
+                  ("I3322", math.pi / 4, 1.0, False))
+
+
+@pytest.mark.parametrize("name,theta,w,allow_degenerate", DECISION_CASES)
+def test_target_stops_at_first_sweep_above_it(name, theta, w, allow_degenerate):
+    # a decision run is the full run cut after the first sweep in which a
+    # row beats the target, scalar or per row
+    _, history = _fixed_batch(name, theta, w, allow_degenerate)
+    best = history.max(axis=0)
+    k = 2
+    row = int(history[:, k].argmax())
+    assert best[k - 1] < best[k] and history[row, k - 1] < history[row, k]
+    per_row = np.full(len(history), np.inf)
+    per_row[row] = 0.5 * (history[row, k - 1] + history[row, k])
+    for target in (0.5 * (best[k - 1] + best[k]), per_row):
+        above = (history[:, 1:] > np.reshape(target, (-1, 1))).any(axis=0)
+        stop = 1 + int(np.argmax(above))
+        assert stop <= k
+        state, _ = _fixed_batch(name, theta, w, allow_degenerate, target=target)
+        assert state["sweeps"] == stop
+        assert np.any(state["values"] > target)
+        assert np.array_equal(state["values"], history[:, stop])
+
+
+@pytest.mark.parametrize("name,theta,w,allow_degenerate", DECISION_CASES)
+def test_unreachable_target_changes_nothing(name, theta, w, allow_degenerate):
+    full, history = _fixed_batch(name, theta, w, allow_degenerate)
+    ceiling = sum(np.abs(a).sum()
+                  for a in _coefficient_arrays(catalog_get(name).functional))
+    state, cut = _fixed_batch(name, theta, w, allow_degenerate, target=ceiling)
+    assert state["sweeps"] == full["sweeps"]
+    for key in ("values", "theta", "akind", "abloch", "bkind", "bbloch"):
+        assert np.array_equal(state[key], full[key]), key
+    assert np.array_equal(cut, history)
+
+
+def test_result_reports_sweeps():
+    f = catalog_get("I4322_2").functional
+    assert seesaw_maximize(f, restarts=4, seed=2, max_sweeps=7).sweeps == 7
+    assert seesaw_maximize(f, restarts=4, seed=2, theta=0.3, max_sweeps=7).sweeps == 7
+    # CHSH at pi/4 converges long before the cap
+    done = seesaw_maximize(catalog_get("CHSH").functional, restarts=4, seed=2,
+                           theta=math.pi / 4)
+    assert 1 <= done.sweeps < 500
 
 
 def test_seesaw_reaches_local_bound():
@@ -166,9 +219,10 @@ def test_seesaw_model_value_consistent():
 
 def test_i4422_4_needs_degenerate_measurements():
     f = catalog_get("I4422_4").functional
-    rank1 = quantum_value_at(f, math.pi / 4, False, restarts=30, seed=3)
+    rank1 = seesaw_maximize(f, restarts=30, seed=3, theta=math.pi / 4).value
     assert rank1 <= 1e-6
-    deg = quantum_value_at(f, math.pi / 4, True, restarts=30, seed=3)
+    deg = seesaw_maximize(f, restarts=30, seed=3, theta=math.pi / 4,
+                          allow_degenerate=True).value
     assert deg > 0.2
 
 
@@ -196,7 +250,8 @@ def test_i4422_4_double_ch_embedding():
     # Bob embed two CH copies, so the degenerate-class optimum at pi/4 is
     # twice the CHSH maximum; the see-saw must find it
     f = catalog_get("I4422_4").functional
-    deg = quantum_value_at(f, math.pi / 4, True, restarts=30, seed=3)
+    deg = seesaw_maximize(f, restarts=30, seed=3, theta=math.pi / 4,
+                          allow_degenerate=True).value
     assert deg == pytest.approx(2 * CHSH_MAX, abs=1e-8)
 
 

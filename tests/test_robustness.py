@@ -8,14 +8,19 @@ import pytest
 from bellscan import table
 from bellscan.catalog import catalog_get
 from bellscan.core import Behavior, BellFunctional, StructuralError, evaluate
+from bellscan import robustness
 from bellscan.quantum import (
+    KIND_ALWAYS_ZERO,
+    KIND_PROJECTOR,
     _coefficient_arrays,
+    _seesaw_batch,
     model_behavior,
     projector,
     QubitModel,
     seesaw_maximize,
 )
 from bellscan.robustness import (
+    _VIOLATION_MARGIN,
     DetectionModel,
     _assignment_bits,
     _detected_max,
@@ -28,6 +33,31 @@ from bellscan.robustness import (
 )
 
 ETA_CHSH = 2 / (math.sqrt(2) + 1)
+
+
+def chsh_eta_at_margin():
+    """Exact symmetric CHSH threshold at pi/4 at the bound plus the margin.
+
+    With both no-click outputs "1" the detected value is k eta^2 - eta,
+    where k = Q(pi/4) + 1 = 1/sqrt2 + 1/2 is the optimal correlation sum, so
+    the smallest root at the margin t is (1 + sqrt(1 + 4 k t)) / (2 k);
+    at t = 0 it is ETA_CHSH."""
+    k = 1 / math.sqrt(2) + 0.5
+    return (1 + math.sqrt(1 + 4 * k * _VIOLATION_MARGIN)) / (2 * k)
+
+
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """Sweeps of every see-saw batch the robustness module runs."""
+    log = []
+
+    def recorded(*args, **kwargs):
+        state = _seesaw_batch(*args, **kwargs)
+        log.append(state["sweeps"])
+        return state
+
+    monkeypatch.setattr(robustness, "_seesaw_batch", recorded)
+    return log
 
 
 def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
@@ -50,6 +80,39 @@ def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
         else:
             lo = mid
     return hi
+
+
+def bisected_noise_w(f, theta, *, seed, restarts):
+    """Oracle: the degenerate visibility threshold bisected with every
+    see-saw run to convergence or to its cap; returns (w, total sweeps)."""
+    MA, MB, C = _coefficient_arrays(f)
+    n = restarts
+    rng = np.random.default_rng(seed)
+    lo, hi = 0.0, 1.0
+    sweeps = 0
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        state = _seesaw_batch(
+            np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
+            theta=np.full(n, theta), free_theta=False, w=mid,
+            allow_degenerate=True, rng=rng)
+        sweeps += state["sweeps"]
+        if state["values"].max() > float(f.bound) + 1e-9:
+            hi = mid
+        else:
+            lo = mid
+    return hi, sweeps
+
+
+def mixed_behavior(model) -> Behavior:
+    """Statistics of the model's measurements on the maximally mixed state."""
+    def marg(m):
+        if m.kind == KIND_PROJECTOR:
+            return 0.5
+        return 1.0 if m.kind == KIND_ALWAYS_ZERO else 0.0
+    p_a = [marg(m) for m in model.alice_meas]
+    p_b = [marg(m) for m in model.bob_meas]
+    return Behavior(p_a, p_b, [[a * b for b in p_b] for a in p_a])
 
 
 def test_noise_floor_values():
@@ -123,7 +186,8 @@ def test_detected_behavior_preserves_box_constraints():
 def test_eta_symmetric_chsh_closed_form():
     r = eta_threshold_symmetric(catalog_get("CHSH").functional, seed=1)
     assert r is not None
-    assert r.eta == pytest.approx(ETA_CHSH, abs=1e-9)
+    assert r.eta == pytest.approx(chsh_eta_at_margin(), abs=1e-12)
+    assert chsh_eta_at_margin() - ETA_CHSH == pytest.approx(_VIOLATION_MARGIN, rel=1e-6)
     assert r.eta_a == r.eta_b == r.eta
 
 
@@ -139,7 +203,7 @@ def test_eta_symmetric_closed_form_is_witnessed(name):
     assert value > float(f.bound)
     assert r.eta == pytest.approx(bisected_eta(f), abs=1e-4)
     if name == "CHSH":
-        assert r.eta == pytest.approx(ETA_CHSH, abs=1e-9)
+        assert r.eta == pytest.approx(chsh_eta_at_margin(), abs=1e-12)
 
 
 def _count_table_calls(monkeypatch):
@@ -192,6 +256,46 @@ def test_table_degenerate_row_bisects(monkeypatch):
     assert calls["noise_threshold"] == 2
     assert calls["eta_threshold_symmetric"] == 1
     assert row.w is not None and row.eta_symmetric is not None
+
+
+def test_degenerate_noise_threshold_decides_like_full_bisection(sweep_log):
+    # each bisection step stops at the first row above bound + margin; the
+    # random starts are drawn before the first sweep, so every decision, and
+    # hence w, equals that of a bisection run to convergence, for less work
+    f = catalog_get("I4422_4").functional
+    theta = 0.2 * math.pi
+    for seed in (1, 2):
+        sweep_log.clear()
+        r = noise_threshold(f, theta, allow_degenerate=True, restarts=3, seed=seed)
+        w, oracle_sweeps = bisected_noise_w(f, theta, seed=seed, restarts=3)
+        assert r.w_threshold == w
+        assert sum(sweep_log) < oracle_sweeps
+        value = (w * evaluate(f, model_behavior(r.model))
+                 + (1 - w) * evaluate(f, mixed_behavior(r.model)))
+        assert float(value) > float(f.bound)
+
+
+def test_detected_max_target_keeps_the_decision(sweep_log):
+    # the per-row see-saw target is the detected target minus each row's
+    # no-click constant: a decision run stops early above the target, and an
+    # unreachable target reproduces the full run
+    f = catalog_get("I3322").functional
+    MA, MB, C = _coefficient_arrays(f)
+    sb = _assignment_bits(8, 3)
+    sa = np.zeros((8, 3))
+
+    def detected(target):
+        return _detected_max(MA, MB, C, 0.05 * math.pi, 1.0, 0.5, sa, sb,
+                             rng=np.random.default_rng(4), restarts=3, warm=None,
+                             allow_degenerate=False, tol=1e-10, max_sweeps=300,
+                             target=target)
+
+    full, _, _, _ = detected(None)
+    early, _, _, _ = detected(full - 1e-3)
+    assert full - 1e-3 < early <= full + 1e-12
+    assert sweep_log[1] < sweep_log[0]
+    same, _, _, _ = detected(full + 1.0)
+    assert same == full and sweep_log[2] == sweep_log[0]
 
 
 def test_eta_symmetric_none_when_no_violation():

@@ -7,11 +7,19 @@ from bellscan.core import CapacityError, Scenario, StructuralError, lift, parse_
 from bellscan.polytope import facet_check, local_bound
 from bellscan.search import (
     SearchConfig,
+    _build,
     _marginal_tuples,
-    generate_candidates,
+    _raw_candidates,
     run_search,
 )
 from bellscan.symmetry import canonical_key, equivalent
+
+
+def generate_candidates(cfg):
+    """The candidate stream of run_search, each bound set to its exact local bound."""
+    for am, bm, flat in _raw_candidates(cfg):
+        f = _build(cfg, am, bm, flat, 0)
+        yield _build(cfg, am, bm, flat, local_bound(f))
 
 
 def test_marginal_tuples_match_constraints():
