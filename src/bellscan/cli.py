@@ -202,7 +202,8 @@ def _cmd_qmax(args) -> int:
                           allow_degenerate=args.degenerate, tol=args.tol)
     payload = {"name": name, "value": res.value, "violation": res.violation,
                "theta_max_over_pi": res.theta_max / math.pi,
-               "restarts": res.restarts_used, "sweeps": res.sweeps}
+               "restarts": res.restarts_used, "sweeps": res.sweeps,
+               "row_sweeps": res.row_sweeps, "converged": res.converged}
     _emit(payload, args, [
         f"value: {res.value:.6f}",
         f"violation: {res.violation:.6f}",

@@ -2,38 +2,40 @@
 
 States are Schmidt-form pure states cos(theta)|00> + sin(theta)|11| with
 theta in [0, pi/4] (the form is symmetric about pi/4, so the half interval
-is canonical).  A two-outcome measurement is either a rank-1 projector
-pair, described by the Bloch vector of its "0" effect (1 + a.sigma)/2, or
-a degenerate von Neumann measurement whose "0" effect is the identity or
-the zero operator.
+is canonical).  A two-outcome measurement is described by its "0" effect
+(t + r.sigma)/2, where t is the effect's trace: a rank-1 projector pair
+has t = 1 and a unit Bloch vector r, and a degenerate von Neumann
+measurement has the identity (t = 2) or the zero operator (t = 0) as its
+"0" effect, with r = 0.  The engine's int8 kind code is t itself.
 
 With T = diag(sin 2theta, -sin 2theta, 1) the closed-form behavior of a
-projective model is
+model is, for every kind,
 
-    p_a(x)    = (1 + cos(2theta) a_z) / 2
-    p_ab(x,y) = (1 + cos(2theta)(a_z + b_z) + a.T.b) / 4 .
+    p_a(x)    = (t_a + cos(2theta) a_z) / 2
+    p_ab(x,y) = (t_a t_b + cos(2theta)(t_b a_z + t_a b_z) + a.T.b) / 4 .
 
-The optimizer is plain coordinate ascent: for a fixed state each party's
-"0" effect enters the objective through a 2x2 Hermitian coefficient
-operator, whose maximizer is the projector onto its positive part (the
-Bloch vector aligns with the operator's traceless component; when the
-operator is sign-definite and degenerate effects are allowed, the identity
-or zero effect wins).  For a free state the 4x4 Bell operator's top
-eigenvector is taken and re-expressed in Schmidt form, absorbing the local
-unitaries into the measurements.  Every step is an exact block maximum, so
-the objective is monotone nondecreasing; global quality comes from seeded
-random restarts, which run batched.  The rows of a batch may carry their
-own marginal coefficients but share one correlation table.  At fixed
-theta a sweep's value comes free with Bob's update: it is Alice's
-marginal term plus the sum of Bob's per-setting block maxima.  A
-decision call ("does some row beat this target?") passes a target and
-stops after the first sweep in which a row exceeds it; monotone ascent
-means the answer of a full run would be the same.
+The optimizer is plain coordinate ascent.  For a fixed state a party's "0"
+effect scores t * base + r.g per setting, so the best projector aligns r
+with g (value base + |g|), the identity scores 2 base and the zero effect
+0; the last two compete only when degenerate effects are allowed.  For a
+free state the 4x4 Bell operator's top eigenvector is re-expressed in
+Schmidt form, absorbing the local unitaries into the measurements.  Every
+step is an exact block maximum, so the objective never decreases; global
+quality comes from seeded random restarts, which run batched and share one
+correlation table (marginal coefficients may differ per row).  A row stops
+after the first sweep that moves its value by less than tol, so its
+trajectory does not depend on its batch and a converged row costs nothing
+while slower rows run on.  At fixed theta a sweep's value is Alice's
+marginal term plus the sum of Bob's per-setting block maxima.  A decision
+call ("does some row beat this target?") stops after the first sweep in
+which a row exceeds the target; monotone ascent means a full run would
+give the same answer.
 
 The engine also accepts a visibility w, optimizing over measurements on
-the isotropic mixture w|psi><psi| + (1-w) 1/4 at fixed theta; this is what
-degenerate-measurement noise thresholds need, since the identity effect
-makes the noise term measurement-dependent.
+the isotropic mixture w|psi><psi| + (1-w) 1/4 at fixed theta (cos and T
+above carry a factor w); this is what degenerate-measurement noise
+thresholds need, since the identity effect makes the noise term
+measurement-dependent.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ KIND_PROJECTOR = "projector"
 KIND_ALWAYS_ZERO = "always_zero"  # "0" effect is the identity
 KIND_ALWAYS_ONE = "always_one"    # "0" effect is the zero operator
 
-_PROJ, _ID, _ZERO = 0, 1, 2
+# a kind code is the trace of its "0" effect (t + r.sigma)/2
+_ZERO, _PROJ, _ID = 0, 1, 2
 _KIND_NAMES = {_PROJ: KIND_PROJECTOR, _ID: KIND_ALWAYS_ZERO, _ZERO: KIND_ALWAYS_ONE}
 
 _SIGMA = np.array([
@@ -114,7 +117,9 @@ class QuantumResult:
     theta_max: float
     model: QubitModel
     restarts_used: int
-    sweeps: int
+    sweeps: int          # sweeps the batch ran (its slowest restart)
+    row_sweeps: int      # sweeps summed over restarts
+    converged: int       # restarts that stopped on tol, not on max_sweeps
     history: tuple[tuple[float, ...], ...] | None = None
 
 
@@ -165,75 +170,55 @@ def _random_bloch(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _marginals(kind, bloch, wc):
-    p = (1.0 + wc[:, None] * bloch[..., 2]) / 2.0
-    p = np.where(kind == _ID, 1.0, p)
-    p = np.where(kind == _ZERO, 0.0, p)
-    return p
+    return (kind + wc[:, None] * bloch[..., 2]) / 2.0
 
 
 def _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch):
-    pa = _marginals(akind, abloch, wc)
-    pb = _marginals(bkind, bbloch, wc)
+    ta, tb = akind[:, :, None], bkind[:, None, :]
     az = abloch[..., 2][:, :, None]
     bz = bbloch[..., 2][:, None, :]
     cross = (abloch[..., 0][:, :, None] * bbloch[..., 0][:, None, :]
              - abloch[..., 1][:, :, None] * bbloch[..., 1][:, None, :])
-    pab = (1.0 + wc[:, None, None] * (az + bz) + w * az * bz
+    pab = (ta * tb + wc[:, None, None] * (tb * az + ta * bz) + w * az * bz
            + ws[:, None, None] * cross) / 4.0
-    a_id = (akind == _ID)[:, :, None]
-    b_id = (bkind == _ID)[:, None, :]
-    pab = np.where(a_id & b_id, 1.0, pab)
-    pab = np.where(a_id & ~b_id, np.broadcast_to(pb[:, None, :], pab.shape), pab)
-    pab = np.where(b_id & ~a_id, np.broadcast_to(pa[:, :, None], pab.shape), pab)
-    dead = (akind == _ZERO)[:, :, None] | (bkind == _ZERO)[:, None, :]
-    pab = np.where(dead, 0.0, pab)
-    return (np.einsum("nx,nx->n", MA, pa) + np.einsum("ny,ny->n", MB, pb)
+    return (np.einsum("nx,nx->n", MA, _marginals(akind, abloch, wc))
+            + np.einsum("ny,ny->n", MB, _marginals(bkind, bbloch, wc))
             + pab.reshape(len(pab), -1) @ C.ravel())
 
 
-def _update_party(M, C, wc, ws, w, kind, bloch, other_kind, other_bloch,
-                  allow_degenerate):
+def _update_party(M, C, wc, ws, w, other_kind, other_bloch, allow_degenerate):
     """Exact block maximum over one party's measurements (partner fixed).
 
     C is the (m_self, m_other) table shared by all rows.  Returns the new
     kinds and Bloch vectors and, per setting, the block maximum attained:
     the partner's marginal term plus the sum of these is the new value."""
-    other_proj = other_kind == _PROJ
-    oz = other_bloch[..., 2]
-    p_other = np.where(other_proj, (1.0 + wc[:, None] * oz) / 2.0,
-                       np.where(other_kind == _ID, 1.0, 0.0))
-    # az-independent half: M/2 + sum_y C p_other/2; the identity effect scores
-    # exactly twice this (trace doubling), the zero effect scores 0
-    base = M / 2.0 + p_other @ C.T / 2.0
-
-    zc = np.where(other_proj, (wc[:, None] + w * oz) / 4.0,
-                  np.where(other_kind == _ID, wc[:, None] / 2.0, 0.0))
-    gx_src = np.where(other_proj, other_bloch[..., 0], 0.0)
-    gy_src = np.where(other_proj, other_bloch[..., 1], 0.0)
-    g = np.empty(bloch.shape)
-    g[..., 0] = ws[:, None] * (gx_src @ C.T) / 4.0
-    g[..., 1] = -ws[:, None] * (gy_src @ C.T) / 4.0
-    g[..., 2] = M * wc[:, None] / 2.0 + zc @ C.T
-
-    norm = np.linalg.norm(g, axis=-1)
+    t, r = other_kind, other_bloch
+    wc, ws = wc[:, None], ws[:, None]
+    # the effect (t + r.sigma)/2 scores t * base + r.g
+    base = M / 2.0 + ((t + wc * r[..., 2]) / 2.0) @ C.T / 2.0
+    g = np.empty(r.shape[:1] + M.shape[1:] + (3,))
+    g[..., 0] = ws * (r[..., 0] @ C.T) / 4.0
+    g[..., 1] = -ws * (r[..., 1] @ C.T) / 4.0
+    g[..., 2] = M * wc / 2.0 + ((wc * t + w * r[..., 2]) / 4.0) @ C.T
+    norm = np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] + g[..., 2] * g[..., 2])
     safe = norm > 1e-300
-    new_bloch = np.where(safe[..., None], g / np.where(safe, norm, 1.0)[..., None], bloch)
+    # g = 0: every r is optimal; +z keeps the projector's r a unit vector
+    new_bloch = g / np.where(safe, norm, np.inf)[..., None]
+    new_bloch[..., 2] += ~safe
     v_proj = base + norm
-
     if allow_degenerate:
+        # argmax over (projector, identity, zero); ties go to the earlier one
         v_id = 2.0 * base
-        stacked = np.stack([v_proj, v_id, np.zeros_like(base)], axis=-1)
-        new_kind = np.argmax(stacked, axis=-1).astype(np.int8)
-        return new_kind, new_bloch, stacked.max(axis=-1)
-    return np.zeros_like(kind), new_bloch, v_proj
+        best = np.maximum(np.maximum(v_proj, v_id), 0.0)
+        proj = v_proj >= best
+        kind = np.where(proj, _PROJ, _ID * (v_id >= 0.0)).astype(np.int8)
+        return kind, new_bloch * proj[..., None], best
+    return np.full(base.shape, _PROJ, dtype=np.int8), new_bloch, v_proj
 
 
 def _effects(kind, bloch) -> np.ndarray:
     """(N, m, 2, 2) complex "0"-outcome effects."""
-    eff = 0.5 * (_EYE2 + np.einsum("nmk,kij->nmij", bloch, _SIGMA))
-    eff = np.where((kind == _ID)[..., None, None], _EYE2, eff)
-    eff = np.where((kind == _ZERO)[..., None, None], np.zeros((2, 2), dtype=complex), eff)
-    return eff
+    return 0.5 * (kind[..., None, None] * _EYE2 + np.einsum("nmk,kij->nmij", bloch, _SIGMA))
 
 
 def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
@@ -253,36 +238,37 @@ def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
     new_a = np.einsum("nji,nxjk,nkl->nxil", u.conj(), A, u)
     new_b = np.einsum("nji,nyjk,nkl->nyil", ub.conj(), B, ub)
 
-    def extract(eff, kind, old):
+    def extract(eff):
+        # a degenerate effect's traceless part is rounding noise: keep r = 0
         vec = np.real(np.einsum("nmij,kji->nmk", eff, _SIGMA))
         norm = np.linalg.norm(vec, axis=-1, keepdims=True)
-        ok = norm[..., 0] > 1e-12
-        vec = np.where(ok[..., None], vec / np.where(norm > 0, norm, 1.0), old)
-        return np.where((kind == _PROJ)[..., None], vec, old)
+        ok = norm > 1e-12
+        return np.where(ok, vec / np.where(ok, norm, 1.0), 0.0)
 
-    return theta, extract(new_a, akind, abloch), extract(new_b, bkind, bbloch)
+    return theta, extract(new_a), extract(new_b)
 
 
 def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False,
                   rng=None, init=None, tol=1e-10, max_sweeps=500, record=False,
                   target=None):
-    """Run one batched see-saw; returns the final state of every row.
+    """Run one batched see-saw; returns the final state of every row, with
+    its sweeps (`row_sweeps`) and whether it stopped on tol (`converged`).
 
     MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is shared.
-    A target (scalar or per row) ends the run after the first sweep in
-    which some row's value exceeds it.
+    A row freezes after the first sweep that moves its value by less than
+    tol, so its trajectory does not depend on the other rows.  A target
+    (scalar or per row) ends the run after the first sweep in which some
+    row's value exceeds it.
     """
     MA = np.ascontiguousarray(MA, dtype=float)
     MB = np.ascontiguousarray(MB, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
-    n, ma = MA.shape
-    mb = MB.shape[1]
+    (n, ma), mb = MA.shape, MB.shape[1]
     if free_theta and w != 1.0:
         raise StructuralError("free-state updates require visibility 1")
 
     theta = np.array(theta, dtype=float).reshape(n).copy()
-    akind = np.zeros((n, ma), dtype=np.int8)
-    bkind = np.zeros((n, mb), dtype=np.int8)
+    akind, bkind = (np.full((n, m), _PROJ, dtype=np.int8) for m in (ma, mb))
     abloch = _random_bloch(rng, (n, ma))
     bbloch = _random_bloch(rng, (n, mb))
     if init is not None:
@@ -295,13 +281,18 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
     wc = w * np.cos(2 * theta)
     ws = w * np.sin(2 * theta)
     values = _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch)
+    out = {"values": values, "theta": theta, "akind": akind, "abloch": abloch,
+           "bkind": bkind, "bbloch": bbloch, "row_sweeps": np.zeros(n, dtype=np.int64),
+           "converged": np.zeros(n, dtype=bool)}
     history = [values.copy()] if record else None
+    target = np.broadcast_to(np.inf if target is None else target, (n,))
+    live = np.arange(n)  # the arrays below hold the live rows only
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        akind, abloch, _ = _update_party(MA, C, wc, ws, w, akind, abloch,
-                                         bkind, bbloch, allow_degenerate)
-        bkind, bbloch, b_best = _update_party(MB, C.T, wc, ws, w, bkind, bbloch,
-                                              akind, abloch, allow_degenerate)
+        akind, abloch, _ = _update_party(MA, C, wc, ws, w, bkind, bbloch,
+                                         allow_degenerate)
+        bkind, bbloch, b_best = _update_party(MB, C.T, wc, ws, w, akind, abloch,
+                                              allow_degenerate)
         if free_theta:
             theta, abloch, bbloch = _update_state(MA, MB, C, akind, abloch,
                                                   bkind, bbloch)
@@ -311,19 +302,26 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
         else:
             new_values = (np.einsum("nx,nx->n", MA, _marginals(akind, abloch, wc))
                           + b_best.sum(axis=1))
-        delta = new_values - values
+        done = np.abs(new_values - values) < tol
         values = new_values
+        stop = sweeps == max_sweeps or bool((values > target).any())
+        leave = np.ones_like(done) if stop else done
+        if leave.any():
+            rows = live[leave]
+            for key, arr in zip(out, (values, theta, akind, abloch, bkind, bbloch)):
+                out[key][rows] = arr[leave]
+            out["row_sweeps"][rows] = sweeps
+            out["converged"][rows] = done[leave]
+            keep = ~leave
+            live, MA, MB, wc, ws, theta, target, values = (
+                a[keep] for a in (live, MA, MB, wc, ws, theta, target, values))
+            akind, abloch, bkind, bbloch = (a[keep] for a in (akind, abloch, bkind, bbloch))
         if record:
-            history.append(values.copy())
-        if np.max(np.abs(delta)) < tol:
+            out["values"][live] = values
+            history.append(out["values"].copy())
+        if not live.size:
             break
-        if target is not None and np.any(values > target):
-            break
-    return {
-        "values": values, "theta": theta,
-        "akind": akind, "abloch": abloch, "bkind": bkind, "bbloch": bbloch,
-        "history": history, "sweeps": sweeps,
-    }
+    return {**out, "history": history, "sweeps": sweeps}
 
 
 def _measurements_from_row(kind, bloch) -> tuple[Measurement, ...]:
@@ -392,6 +390,8 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
         model=model,
         restarts_used=restarts,
         sweeps=state["sweeps"],
+        row_sweeps=int(state["row_sweeps"].sum()),
+        converged=int(state["converged"].sum()),
         history=history,
     )
 

@@ -42,8 +42,10 @@ step.  Every bisection stops at width 1e-5.  A bisection step only asks
 whether some measurement choice beats the bound plus the margin, so its
 see-saw stops after the first sweep in which a row does; every see-saw
 step is an exact block maximum, so that row's value can only rise and a
-full run would give the same answer.  A step that finds no violation runs
-to convergence, or to 300 sweeps for detection (500 for noise).
+full run would give the same answer.  In a step that finds no violation
+each row stops once its own value has converged, or at 300 sweeps for
+detection (500 for noise), and converged rows cost nothing while the
+others run on.
 """
 
 from __future__ import annotations

@@ -98,6 +98,10 @@ def test_qmax_json(capsys):
     assert payload["theta_max_over_pi"] == pytest.approx(0.25, abs=1e-5)
     full = seesaw_maximize(catalog_get("CHSH").functional, restarts=10, seed=3)
     assert payload["sweeps"] == full.sweeps
+    assert payload["row_sweeps"] == full.row_sweeps
+    assert payload["converged"] == full.converged
+    assert 0 <= payload["converged"] <= payload["restarts"]
+    assert payload["sweeps"] <= payload["row_sweeps"] <= payload["restarts"] * payload["sweeps"]
 
 
 def test_qmax_not_violating_exits_one(tmp_path, capsys):

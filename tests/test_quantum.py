@@ -12,7 +12,12 @@ from bellscan.quantum import (
     KIND_PROJECTOR,
     Measurement,
     QubitModel,
+    _ID,
+    _PROJ,
+    _ZERO,
     _coefficient_arrays,
+    _model_from_row,
+    _random_bloch,
     _seesaw_batch,
     _values,
     model_behavior,
@@ -20,6 +25,7 @@ from bellscan.quantum import (
     seesaw_maximize,
 )
 from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
+from mixed_state import noisy_value
 
 CHSH_MAX = 1 / math.sqrt(2) - 0.5
 
@@ -198,6 +204,119 @@ def test_result_reports_sweeps():
     done = seesaw_maximize(catalog_get("CHSH").functional, restarts=4, seed=2,
                            theta=math.pi / 4)
     assert 1 <= done.sweeps < 500
+
+
+def test_result_reports_row_work():
+    f = catalog_get("I4322_2").functional
+    for theta in (None, 0.3):
+        cut = seesaw_maximize(f, restarts=4, seed=2, theta=theta, max_sweeps=1)
+        assert (cut.sweeps, cut.row_sweeps, cut.converged) == (1, 4, 0)
+    # CHSH at pi/4 converges on every restart, each in its own number of sweeps
+    done = seesaw_maximize(catalog_get("CHSH").functional, restarts=4, seed=2,
+                           theta=math.pi / 4)
+    assert done.converged == 4
+    assert done.sweeps <= done.row_sweeps <= 4 * done.sweeps
+
+
+def _random_rows(rng, n, ma, mb, degenerate):
+    """An init covering every row: unit Bloch vectors, and with `degenerate`
+    each setting's kind drawn from projector, identity and zero (r = 0)."""
+    state = {"rows": np.arange(n)}
+    for side, m in (("a", ma), ("b", mb)):
+        kind = rng.choice([_PROJ, _ID, _ZERO] if degenerate else [_PROJ], size=(n, m))
+        state[side + "kind"] = kind.astype(np.int8)
+        state[side + "bloch"] = _random_bloch(rng, (n, m)) * (kind == _PROJ)[..., None]
+    return state
+
+
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize("allow_degenerate", [False, True])
+def test_rows_run_independently(free, allow_degenerate):
+    # a row freezes on its own |delta| < tol, so a batch is its rows run
+    # alone.  BLAS may round a product differently with the batch size, so
+    # rows agree only to rounding, which an ill-conditioned step (an exact
+    # projector/identity tie at w = 1, equal Schmidt coefficients) can
+    # amplify; on I3322 it stays at rounding size
+    f = catalog_get("I3322").functional
+    MA, MB, C = _coefficient_arrays(f)
+    n = 6
+    rng = np.random.default_rng(11)
+    init = _random_rows(rng, n, MA.size, MB.size, allow_degenerate)
+    theta = rng.uniform(0.0, math.pi / 4, n) if free else np.full(n, 0.3)
+    opts = dict(free_theta=free, allow_degenerate=allow_degenerate)
+
+    def run(rows):
+        k = len(rows)
+        sub = {key: v[rows] for key, v in init.items() if key != "rows"}
+        return _seesaw_batch(np.tile(MA, (k, 1)), np.tile(MB, (k, 1)), C,
+                             theta=theta[rows], init={"rows": np.arange(k), **sub},
+                             rng=np.random.default_rng(0), **opts)
+
+    batch = run(np.arange(n))
+    assert len(set(batch["row_sweeps"])) > 1  # the rows stop at different sweeps
+    for i in range(n):
+        alone = run(np.array([i]))
+        assert alone["row_sweeps"][0] == batch["row_sweeps"][i]
+        assert alone["converged"][0] == batch["converged"][i]
+        for key in ("values", "theta", "abloch", "bbloch"):
+            assert np.max(np.abs(alone[key][0] - batch[key][i])) <= 1e-12, key
+        for key in ("akind", "bkind"):
+            assert np.array_equal(alone[key][0], batch[key][i]), key
+
+
+@pytest.mark.parametrize("allow_degenerate", [False, True])
+def test_zero_block_gives_unit_projectors(allow_degenerate):
+    # an all-zero block ties the three effects at 0; the projector wins the
+    # tie and, with g = 0, takes r = +z, not the r = 0 a degenerate effect holds
+    n, m = 3, 2
+    init = _random_rows(np.random.default_rng(1), n, m, m, degenerate=True)
+    state = _seesaw_batch(np.zeros((n, m)), np.zeros((n, m)), np.zeros((m, m)),
+                          theta=np.full(n, 0.4), free_theta=False,
+                          allow_degenerate=allow_degenerate, init=init,
+                          rng=np.random.default_rng(0), max_sweeps=1)
+    for side in "ab":
+        assert np.all(state[side + "kind"] == _PROJ)
+        assert np.array_equal(state[side + "bloch"], np.tile([0.0, 0.0, 1.0], (n, m, 1)))
+
+
+@pytest.mark.parametrize("w", [1.0, 0.7])
+@pytest.mark.parametrize("name", ["I4322_2", "I4422_4"])
+def test_values_match_model_oracle(name, w):
+    # _values reads kinds as traces; the oracle is the closed-form behavior
+    # of the Measurement model, mixed with the maximally mixed state's
+    f = catalog_get(name).functional
+    MA, MB, C = _coefficient_arrays(f)
+    n = 40
+    rng = np.random.default_rng(5)
+    state = _random_rows(rng, n, MA.size, MB.size, degenerate=True)
+    state["theta"] = rng.choice([0.0, 0.2, math.pi / 8, 0.6, math.pi / 4], size=n)
+    assert {_PROJ, _ID, _ZERO} <= set(np.unique(state["akind"]))
+    _check_values(f, state, w)
+
+
+def test_free_degenerate_batch_values_match_model_oracle():
+    f = catalog_get("I4422_4").functional
+    MA, MB, C = _coefficient_arrays(f)
+    n = 8
+    rng = np.random.default_rng(9)
+    state = _seesaw_batch(np.tile(MA, (n, 1)), np.tile(MB, (n, 1)), C,
+                          theta=rng.uniform(0.0, math.pi / 4, n), free_theta=True,
+                          allow_degenerate=True, rng=rng)
+    assert np.any(state["akind"] != _PROJ) or np.any(state["bkind"] != _PROJ)
+    assert np.max(np.abs(_check_values(f, state, 1.0) - state["values"])) <= 1e-12
+
+
+def _check_values(f, state, w):
+    """Checks _values of every row against the model oracle; returns them."""
+    MA, MB, C = _coefficient_arrays(f)
+    n = len(state["theta"])
+    got = _values(np.tile(MA, (n, 1)), np.tile(MB, (n, 1)), C,
+                  w * np.cos(2 * state["theta"]), w * np.sin(2 * state["theta"]), w,
+                  state["akind"], state["abloch"], state["bkind"], state["bbloch"])
+    for row in range(n):
+        oracle = float(noisy_value(f, _model_from_row(state, row), w))
+        assert got[row] == pytest.approx(oracle, abs=1e-12)
+    return got
 
 
 def test_seesaw_reaches_local_bound():

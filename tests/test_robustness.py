@@ -7,11 +7,9 @@ import pytest
 
 from bellscan import table
 from bellscan.catalog import catalog_get
-from bellscan.core import Behavior, BellFunctional, StructuralError, evaluate
+from bellscan.core import BellFunctional, StructuralError, evaluate
 from bellscan import robustness
 from bellscan.quantum import (
-    KIND_ALWAYS_ZERO,
-    KIND_PROJECTOR,
     _coefficient_arrays,
     _seesaw_batch,
     model_behavior,
@@ -31,6 +29,7 @@ from bellscan.robustness import (
     noise_floor,
     noise_threshold,
 )
+from mixed_state import noisy_value
 
 ETA_CHSH = 2 / (math.sqrt(2) + 1)
 
@@ -102,17 +101,6 @@ def bisected_noise_w(f, theta, *, seed, restarts):
         else:
             lo = mid
     return hi, sweeps
-
-
-def mixed_behavior(model) -> Behavior:
-    """Statistics of the model's measurements on the maximally mixed state."""
-    def marg(m):
-        if m.kind == KIND_PROJECTOR:
-            return 0.5
-        return 1.0 if m.kind == KIND_ALWAYS_ZERO else 0.0
-    p_a = [marg(m) for m in model.alice_meas]
-    p_b = [marg(m) for m in model.bob_meas]
-    return Behavior(p_a, p_b, [[a * b for b in p_b] for a in p_a])
 
 
 def test_noise_floor_values():
@@ -270,9 +258,7 @@ def test_degenerate_noise_threshold_decides_like_full_bisection(sweep_log):
         w, oracle_sweeps = bisected_noise_w(f, theta, seed=seed, restarts=3)
         assert r.w_threshold == w
         assert sum(sweep_log) < oracle_sweeps
-        value = (w * evaluate(f, model_behavior(r.model))
-                 + (1 - w) * evaluate(f, mixed_behavior(r.model)))
-        assert float(value) > float(f.bound)
+        assert float(noisy_value(f, r.model, w)) > float(f.bound)
 
 
 def test_detected_max_target_keeps_the_decision(sweep_log):
