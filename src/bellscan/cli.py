@@ -31,6 +31,7 @@ from .core import (
 from .polytope import facet_check, local_bound
 from .quantum import seesaw_maximize
 from .robustness import (
+    _VIOLATION_MARGIN,
     eta_asymmetric_sweep,
     eta_threshold_asymmetric,
     eta_threshold_symmetric,
@@ -96,7 +97,6 @@ def _add_opt_flags(p: argparse.ArgumentParser, *, theta_default=None,
                        help="Schmidt angle as a fraction of pi ('free' where supported)")
         p.add_argument("--degenerate", action="store_true",
                        help="allow identity/zero measurement effects")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
@@ -199,7 +199,7 @@ def _cmd_qmax(args) -> int:
     name, f = _load_one(args)
     theta = _parse_theta(args.theta, allow_free=True)
     res = seesaw_maximize(f, restarts=args.restarts, seed=args.seed, theta=theta,
-                          allow_degenerate=args.degenerate, tol=args.tol)
+                          allow_degenerate=args.degenerate)
     payload = {"name": name, "value": res.value, "violation": res.violation,
                "theta_max_over_pi": res.theta_max / math.pi,
                "restarts": res.restarts_used, "sweeps": res.sweeps,
@@ -209,14 +209,14 @@ def _cmd_qmax(args) -> int:
         f"violation: {res.violation:.6f}",
         f"theta_max/pi: {res.theta_max / math.pi:.6f}",
     ])
-    return EXIT_OK if res.violation > 1e-9 else EXIT_NONE
+    return EXIT_OK if res.violation > _VIOLATION_MARGIN else EXIT_NONE
 
 
 def _cmd_noise(args) -> int:
     name, f = _load_one(args)
     theta = _parse_theta(args.theta)
     res = noise_threshold(f, theta, allow_degenerate=args.degenerate,
-                          restarts=args.restarts, seed=args.seed, tol=args.tol)
+                          restarts=args.restarts, seed=args.seed)
     if res is None:
         _emit({"name": name, "w_threshold": None}, args, ["none"])
         return EXIT_NONE
@@ -231,8 +231,7 @@ def _cmd_eta(args) -> int:
     theta = _parse_theta(args.theta)
     res = eta_threshold_symmetric(f, theta, seed=args.seed,
                                   restarts=args.inner_restarts,
-                                  allow_degenerate=args.degenerate,
-                                  tol=args.tol)
+                                  allow_degenerate=args.degenerate)
     if res is None:
         _emit({"name": name, "eta": None}, args, ["none"])
         return EXIT_NONE
@@ -248,8 +247,7 @@ def _cmd_eta_asym(args) -> int:
             raise _UsageError("--sweep scans its own grid of angles; drop --theta")
         points = eta_asymmetric_sweep(f, seed=args.seed,
                                       restarts=args.inner_restarts,
-                                      allow_degenerate=args.degenerate,
-                                      tol=args.tol)
+                                      allow_degenerate=args.degenerate)
         rows = [(theta / math.pi, res.eta if res else None)
                 for theta, res in points]
         finite = [eta for _, eta in rows if eta is not None]
@@ -281,8 +279,7 @@ def _cmd_eta_asym(args) -> int:
     theta = _parse_theta(_DEFAULT_THETA if args.theta is None else args.theta)
     res = eta_threshold_asymmetric(f, theta, seed=args.seed,
                                    restarts=args.inner_restarts,
-                                   allow_degenerate=args.degenerate,
-                                   tol=args.tol)
+                                   allow_degenerate=args.degenerate)
     if res is None:
         _emit({"name": name, "eta_b": None}, args, ["none"])
         return EXIT_NONE
@@ -322,8 +319,7 @@ def _cmd_search(args) -> int:
 def _cmd_table1(args) -> int:
     names = args.only or None
     rows = compute_table(names, seed=args.seed, restarts=args.restarts,
-                         eta_restarts=args.inner_restarts, tol=args.tol,
-                         jobs=args.jobs)
+                         eta_restarts=args.inner_restarts, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps([
             {"name": r.name, "violation": r.violation,

@@ -23,9 +23,9 @@ Schmidt form, absorbing the local unitaries into the measurements.  Every
 step is an exact block maximum, so the objective never decreases; global
 quality comes from seeded random restarts, which run batched and share one
 correlation table (marginal coefficients may differ per row).  A row stops
-after the first sweep that moves its value by less than tol, so its
-trajectory does not depend on its batch and a converged row costs nothing
-while slower rows run on.  At fixed theta a sweep's value is Alice's
+after the first sweep that moves its value by less than 1e-10 (_TOL), so
+its trajectory does not depend on its batch and a converged row costs
+nothing while slower rows run on.  At fixed theta a sweep's value is Alice's
 marginal term plus the sum of Bob's per-setting block maxima.  A decision
 call ("does some row beat this target?") stops after the first sweep in
 which a row exceeds the target; monotone ascent means a full run would
@@ -69,6 +69,7 @@ _SIGMA = np.array([
     [[1, 0], [0, -1]],
 ], dtype=complex)
 _EYE2 = np.eye(2, dtype=complex)
+_TOL = 1e-10  # a sweep that moves a row's value by less ends that row
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class QuantumResult:
     restarts_used: int
     sweeps: int          # sweeps the batch ran (its slowest restart)
     row_sweeps: int      # sweeps summed over restarts
-    converged: int       # restarts that stopped on tol, not on max_sweeps
+    converged: int       # restarts stopped by _TOL, not by max_sweeps
     history: tuple[tuple[float, ...], ...] | None = None
 
 
@@ -249,14 +250,13 @@ def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
 
 
 def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False,
-                  rng=None, init=None, tol=1e-10, max_sweeps=500, record=False,
-                  target=None):
+                  rng=None, init=None, max_sweeps=500, record=False, target=None):
     """Run one batched see-saw; returns the final state of every row, with
-    its sweeps (`row_sweeps`) and whether it stopped on tol (`converged`).
+    its sweeps (`row_sweeps`) and whether it stopped on _TOL (`converged`).
 
     MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is shared.
     A row freezes after the first sweep that moves its value by less than
-    tol, so its trajectory does not depend on the other rows.  A target
+    _TOL, so its trajectory does not depend on the other rows.  A target
     (scalar or per row) ends the run after the first sweep in which some
     row's value exceeds it.
     """
@@ -302,7 +302,7 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
         else:
             new_values = (np.einsum("nx,nx->n", MA, _marginals(akind, abloch, wc))
                           + b_best.sum(axis=1))
-        done = np.abs(new_values - values) < tol
+        done = np.abs(new_values - values) < _TOL
         values = new_values
         stop = sweeps == max_sweeps or bool((values > target).any())
         leave = np.ones_like(done) if stop else done
@@ -353,7 +353,7 @@ def _coefficient_arrays(f: BellFunctional):
 
 def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
                     theta: float | None = None, allow_degenerate: bool = False,
-                    tol: float = 1e-10, max_sweeps: int = 500,
+                    max_sweeps: int = 500,
                     record_history: bool = False) -> QuantumResult:
     """Best raw value of I over `restarts` seeded see-saw runs.
 
@@ -375,7 +375,7 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
     state = _seesaw_batch(
         np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
         theta=theta0, free_theta=free, allow_degenerate=allow_degenerate,
-        rng=rng, tol=tol, max_sweeps=max_sweeps, record=record_history)
+        rng=rng, max_sweeps=max_sweeps, record=record_history)
     best = int(np.argmax(state["values"]))  # first index on ties
     value = float(state["values"][best])
     model = _model_from_row(state, best)

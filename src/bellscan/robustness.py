@@ -149,7 +149,7 @@ def _bisect_threshold(violated_at, info):
 
 def noise_threshold(f: BellFunctional, theta: float, *,
                     allow_degenerate: bool = False, restarts: int = 50,
-                    seed: int = 0, tol: float = 1e-10) -> NoiseResult | None:
+                    seed: int = 0) -> NoiseResult | None:
     """Smallest visibility w at which |psi(theta)> still violates f.
 
     Returns None when the state does not violate even at w = 1.
@@ -157,7 +157,7 @@ def noise_threshold(f: BellFunctional, theta: float, *,
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
     best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=theta,
-                           allow_degenerate=allow_degenerate, tol=tol)
+                           allow_degenerate=allow_degenerate)
     if not allow_degenerate:
         w = _visibility_threshold(f, best.value)
         if w is None:
@@ -168,20 +168,17 @@ def noise_threshold(f: BellFunctional, theta: float, *,
         return None
 
     # identity effects make the noise term measurement-dependent: bisect,
-    # re-optimizing at each visibility
+    # re-optimizing at each visibility with detectors that always click
     MA, MB, C = _coefficient_arrays(f)
-    n = restarts
+    sa, sb = np.zeros((1, MA.size)), np.zeros((1, MB.size))
     rng = np.random.default_rng(seed)
 
     def violated_at(w: float):
-        state = _seesaw_batch(
-            np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
-            theta=np.full(n, theta), free_theta=False, w=w,
-            allow_degenerate=True, rng=rng, tol=tol,
-            target=bound + _VIOLATION_MARGIN)
-        row = int(np.argmax(state["values"]))
-        return (state["values"][row] > bound + _VIOLATION_MARGIN,
-                _model_from_row(state, row))
+        value, _, model, _ = _detected_max(
+            MA, MB, C, theta, 1.0, 1.0, sa, sb, rng=rng, restarts=restarts,
+            warm=None, allow_degenerate=True, max_sweeps=500,
+            target=bound + _VIOLATION_MARGIN, w=w)
+        return value > bound + _VIOLATION_MARGIN, model
 
     w, model = _bisect_threshold(violated_at, best.model)
     return NoiseResult(w_threshold=w, theta=theta, model=model)
@@ -227,8 +224,8 @@ def _effective_tables(MA, MB, C, eta_a, eta_b, sa, sb):
 
 
 def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
-                  warm, allow_degenerate, tol, max_sweeps, target=None):
-    """Max of I over measurements and the supplied no-click assignments.
+                  warm, allow_degenerate, max_sweeps, target=None, w=1.0):
+    """Max of I at visibility w over measurements and no-click assignments.
 
     With a target the see-saw stops once some detected value exceeds it."""
     n = sa.shape[0]
@@ -242,9 +239,9 @@ def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
     if warm is not None:
         init = {"rows": np.arange(n) * r, **warm}
     state = _seesaw_batch(big_ma, big_mb, eta_a * eta_b * C,
-                          theta=np.full(total_rows, theta), free_theta=False,
+                          theta=np.full(total_rows, theta), free_theta=False, w=w,
                           allow_degenerate=allow_degenerate, rng=rng, init=init,
-                          tol=tol, max_sweeps=max_sweeps,
+                          max_sweeps=max_sweeps,
                           target=None if target is None else target - row_const)
     totals = (state["values"] + row_const).reshape(n, r)
     best_r = totals.argmax(axis=1)
@@ -258,8 +255,10 @@ def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
 
 
 def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
-                   seed: int, restarts: int, allow_degenerate: bool,
-                   tol: float) -> DetectionResult | None:
+                   seed: int, restarts: int,
+                   allow_degenerate: bool) -> DetectionResult | None:
+    if restarts < 1:
+        raise StructuralError("restarts must be >= 1")
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
     ma, mb = f.scenario.m_a, f.scenario.m_b
@@ -281,7 +280,7 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
         ea, eb = (eta, eta) if symmetric else (1.0, eta)
         value, assign, model, warm = _detected_max(
             MA, MB, C, theta, ea, eb, sa, sb, rng=rng, restarts=restarts,
-            warm=warm, allow_degenerate=allow_degenerate, tol=tol,
+            warm=warm, allow_degenerate=allow_degenerate,
             max_sweeps=_ETA_SWEEPS, target=bound + _VIOLATION_MARGIN)
         return value > bound + _VIOLATION_MARGIN, (assign, model)
 
@@ -335,8 +334,7 @@ def _eta_at_maximal_entanglement(f: BellFunctional,
 
 def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
                             seed: int = 0, restarts: int = 8,
-                            allow_degenerate: bool = False,
-                            tol: float = 1e-10) -> DetectionResult | None:
+                            allow_degenerate: bool = False) -> DetectionResult | None:
     """Threshold efficiency eta_A = eta_B = eta, optimizing measurements and
     no-click strategies; None when there is no violation at eta = 1.
 
@@ -345,20 +343,18 @@ def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
     bisected."""
     if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
         best = seesaw_maximize(f, restarts=restarts, seed=seed,
-                               theta=math.pi / 4, tol=tol,
-                               max_sweeps=_ETA_SWEEPS)
+                               theta=math.pi / 4, max_sweeps=_ETA_SWEEPS)
         return _eta_at_maximal_entanglement(f, best)
     return _eta_threshold(f, theta, True, seed=seed, restarts=restarts,
-                          allow_degenerate=allow_degenerate, tol=tol)
+                          allow_degenerate=allow_degenerate)
 
 
 def eta_threshold_asymmetric(f: BellFunctional, theta: float = math.pi / 4, *,
                              seed: int = 0, restarts: int = 8,
-                             allow_degenerate: bool = False,
-                             tol: float = 1e-10) -> DetectionResult | None:
+                             allow_degenerate: bool = False) -> DetectionResult | None:
     """Threshold eta_B with a perfect detector on Alice's side (eta_A = 1)."""
     return _eta_threshold(f, theta, False, seed=seed, restarts=restarts,
-                          allow_degenerate=allow_degenerate, tol=tol)
+                          allow_degenerate=allow_degenerate)
 
 
 def _default_sweep_thetas() -> tuple[float, ...]:
@@ -374,13 +370,12 @@ def _default_sweep_thetas() -> tuple[float, ...]:
 DEFAULT_SWEEP_THETAS = _default_sweep_thetas()
 
 
-def eta_asymmetric_sweep(f: BellFunctional, thetas=None, **opts):
-    """eta_B thresholds over a decreasing grid of Schmidt angles.
+def eta_asymmetric_sweep(f: BellFunctional, **opts):
+    """eta_B thresholds over DEFAULT_SWEEP_THETAS, a decreasing grid of
+    Schmidt angles.
 
     Returns [(theta, DetectionResult | None), ...].  The grid shows the
     trend toward weak entanglement; the limiting value is not asserted.
     """
-    if thetas is None:
-        thetas = DEFAULT_SWEEP_THETAS
     return [(theta, eta_threshold_asymmetric(f, theta, **opts))
-            for theta in thetas]
+            for theta in DEFAULT_SWEEP_THETAS]

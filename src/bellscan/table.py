@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .catalog import PRIMARY_NAMES, catalog_get
 from .quantum import seesaw_maximize
 from .robustness import (
+    _VIOLATION_MARGIN,
     _eta_at_maximal_entanglement,
     _visibility_threshold,
     eta_threshold_symmetric,
@@ -50,32 +51,31 @@ def _row_seed(seed: int, index: int) -> int:
 
 
 def compute_row(name: str, *, seed: int = 0, restarts: int = 50,
-                eta_restarts: int = 8, tol: float = 1e-10) -> ReportRow:
+                eta_restarts: int = 8) -> ReportRow:
     entry = catalog_get(name)
     f = entry.functional
     degenerate = name in DEGENERATE_ROWS
     bound = float(f.bound)
 
     qres = seesaw_maximize(f, restarts=restarts, seed=seed,
-                           allow_degenerate=degenerate, tol=tol)
-    if qres.value <= bound + 1e-9:
+                           allow_degenerate=degenerate)
+    if qres.value <= bound + _VIOLATION_MARGIN:
         return ReportRow(name, qres.value, qres.theta_max / math.pi,
                          None, None, None)
 
     theta_max = max(qres.theta_max, 1e-9)
     if degenerate:
         w_max_res = noise_threshold(f, theta_max, allow_degenerate=True,
-                                    restarts=restarts, seed=seed, tol=tol)
+                                    restarts=restarts, seed=seed)
         w_res = noise_threshold(f, math.pi / 4, allow_degenerate=True,
-                                restarts=restarts, seed=seed, tol=tol)
+                                restarts=restarts, seed=seed)
         w_max = w_max_res.w_threshold if w_max_res else None
         w = w_res.w_threshold if w_res else None
         eta_res = eta_threshold_symmetric(f, math.pi / 4, seed=seed,
                                           restarts=eta_restarts,
-                                          allow_degenerate=True, tol=tol)
+                                          allow_degenerate=True)
     else:
-        flat = seesaw_maximize(f, restarts=restarts, seed=seed,
-                               theta=math.pi / 4, tol=tol)
+        flat = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
         w_max = _visibility_threshold(f, qres.value)
         w = _visibility_threshold(f, flat.value)
         eta_res = _eta_at_maximal_entanglement(f, flat)
@@ -89,8 +89,7 @@ def _worker(args) -> ReportRow:
 
 
 def compute_table(names=None, *, seed: int = 0, restarts: int = 50,
-                  eta_restarts: int = 8, tol: float = 1e-10,
-                  jobs: int = 1) -> list[ReportRow]:
+                  eta_restarts: int = 8, jobs: int = 1) -> list[ReportRow]:
     """Rows in catalog order; per-row seeds derive from (seed, catalog index)
     so the output is independent of the worker count."""
     if names is None:
@@ -101,7 +100,7 @@ def compute_table(names=None, *, seed: int = 0, restarts: int = 50,
     ordered = [n for n in PRIMARY_NAMES if n in set(names)]
     tasks = [
         (name, dict(seed=_row_seed(seed, PRIMARY_NAMES.index(name)),
-                    restarts=restarts, eta_restarts=eta_restarts, tol=tol))
+                    restarts=restarts, eta_restarts=eta_restarts))
         for name in ordered
     ]
     if jobs <= 1 or len(tasks) <= 1:

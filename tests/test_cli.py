@@ -133,7 +133,12 @@ def test_flags_only_on_subcommands_that_read_them(capsys):
                  ["table1", "--only", "CHSH", "--theta", "0.2"],
                  ["table1", "--only", "CHSH", "--degenerate"],
                  ["eta", "--name", "I3322", "--restarts", "1"],
-                 ["eta-asym", "--name", "I3322", "--restarts", "1"]):
+                 ["eta-asym", "--name", "I3322", "--restarts", "1"],
+                 ["qmax", "--name", "CHSH", "--tol", "1e-8"],
+                 ["noise", "--name", "CHSH", "--tol", "1e-8"],
+                 ["eta", "--name", "CHSH", "--tol", "1e-8"],
+                 ["eta-asym", "--name", "CHSH", "--tol", "1e-8"],
+                 ["table1", "--only", "CHSH", "--tol", "1e-8"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -144,6 +149,16 @@ def test_eta_command(capsys):
     code, out, _ = run_cli(capsys, "eta", "--name", "CHSH", "--seed", "1")
     assert code == 0
     assert out.strip().startswith("0.8284")
+
+
+def test_bisected_eta_with_no_restarts_is_usage_error(capsys):
+    for argv in (["eta-asym", "--name", "CHSH", "--inner-restarts", "0"],
+                 ["eta", "--name", "CHSH", "--theta", "0.2",
+                  "--inner-restarts", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "restarts must be >= 1" in err
 
 
 def test_eta_asym_sweep_csv(capsys):

@@ -73,7 +73,7 @@ def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
         value, _, _, warm = _detected_max(
             MA, MB, C, math.pi / 4, mid, mid, bits[:, :ma], bits[:, ma:],
             rng=rng, restarts=restarts, warm=warm, allow_degenerate=False,
-            tol=1e-10, max_sweeps=300)
+            max_sweeps=300)
         if value > float(f.bound) + 1e-9:
             hi = mid
         else:
@@ -273,7 +273,7 @@ def test_detected_max_target_keeps_the_decision(sweep_log):
     def detected(target):
         return _detected_max(MA, MB, C, 0.05 * math.pi, 1.0, 0.5, sa, sb,
                              rng=np.random.default_rng(4), restarts=3, warm=None,
-                             allow_degenerate=False, tol=1e-10, max_sweeps=300,
+                             allow_degenerate=False, max_sweeps=300,
                              target=target)
 
     full, _, _, _ = detected(None)
@@ -282,6 +282,17 @@ def test_detected_max_target_keeps_the_decision(sweep_log):
     assert sweep_log[1] < sweep_log[0]
     same, _, _, _ = detected(full + 1.0)
     assert same == full and sweep_log[2] == sweep_log[0]
+
+
+def test_bisected_eta_rejects_restarts_below_one():
+    # off the pi/4 closed form both thresholds bisect; an empty or negative
+    # batch must be a structural error, not a numpy reshape failure
+    chsh = catalog_get("CHSH").functional
+    for restarts in (0, -2):
+        with pytest.raises(StructuralError, match="restarts must be >= 1"):
+            eta_threshold_asymmetric(chsh, restarts=restarts)
+        with pytest.raises(StructuralError, match="restarts must be >= 1"):
+            eta_threshold_symmetric(chsh, 0.2 * math.pi, restarts=restarts)
 
 
 def test_eta_symmetric_none_when_no_violation():
