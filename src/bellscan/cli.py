@@ -306,6 +306,8 @@ def _cmd_search(args) -> int:
         print(json.dumps(report_to_json(report), indent=2))
     else:
         print(f"candidates tested: {report.candidates_tested}")
+        print(f"rank-tested (at least d saturating strategies): {report.rank_tested}")
+        print(f"tight (facets, trivial and repeats included): {report.tight}")
         print(f"trivial facets (positivity class): {report.trivial_count}")
         print(f"facet classes found: {len(report.facets_found)} "
               f"({report.new_count} not in the catalog)")

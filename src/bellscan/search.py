@@ -14,15 +14,26 @@ and only candidates with at least d saturating strategies reach the rank
 test.  Found facets are deduplicated by canonical form and matched against
 the catalog (including zero-padded liftings of smaller-scenario entries);
 single-cell positivity facets are counted separately as trivial.
+
+Candidates arrive as int64 numpy chunks of at most _CHUNK coefficient rows
+(M_A, M_B, then C by rows), the layout the scoring helper takes.  The
+exhaustive stream decodes an index range in mixed radix, in the order of
+nested loops over Alice's marginal tuple, Bob's, and the correlation cells
+with the last cell fastest; the random stream draws each chunk from
+numpy's default generator seeded with `seed`.  The positivity key and the
+catalog keys are computed on demand: the first at the first tight
+candidate, the second at the first new class, so a run that finds no facet
+canonicalizes nothing.  The report counts the funnel: candidates screened,
+those with at least d saturating strategies (rank-tested), and those that
+passed the facet test (tight, trivial ones and repeats included).
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Iterator
 
@@ -51,6 +62,7 @@ __all__ = [
 
 EXHAUSTIVE_CAP = 10 ** 8
 _CHUNK = 4096
+_COEFF_LIMIT = 2 ** 62  # candidates are int64 rows; numpy's generator takes int64 bounds
 
 
 @dataclass(frozen=True)
@@ -69,8 +81,14 @@ class SearchConfig:
             raise StructuralError(f"empty correlation range {self.corr_range}")
         if self.mode not in ("exhaustive", "random"):
             raise StructuralError(f"unknown search mode {self.mode!r}")
+        if max(abs(lo), abs(hi), abs(self.marg_min)) >= _COEFF_LIMIT:
+            raise StructuralError(
+                f"coefficient ranges must lie within +-(2^62 - 1), got corr_range "
+                f"{self.corr_range} and marg_min {self.marg_min}")
         if self.mode == "random" and self.sample_count < 1:
             raise StructuralError("sample_count must be >= 1 in random mode")
+        if self.mode == "random" and self.seed < 0:
+            raise StructuralError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,8 @@ class SearchReport:
     facets_found: list[FacetFinding] = field(default_factory=list)
     new_count: int = 0
     trivial_count: int = 0
+    rank_tested: int = 0  # candidates with at least d saturating strategies
+    tight: int = 0  # rank-tested candidates that are facets, trivial and repeats included
 
 
 def _marginal_tuples(m: int, marg_min: int, strict_first: bool) -> list[tuple[int, ...]]:
@@ -103,36 +123,44 @@ def _marginal_tuples(m: int, marg_min: int, strict_first: bool) -> list[tuple[in
     return out
 
 
-def _raw_candidates(cfg: SearchConfig) -> Iterator[tuple]:
-    """(alice_marg, bob_marg, corr_flat) triples under the cfg constraints."""
-    a_tuples = _marginal_tuples(cfg.scenario.m_a, cfg.marg_min, cfg.strict_first)
-    b_tuples = _marginal_tuples(cfg.scenario.m_b, cfg.marg_min, cfg.strict_first)
+def _raw_candidates(cfg: SearchConfig) -> Iterator[np.ndarray]:
+    """Chunks of at most _CHUNK int64 coefficient rows (M_A, M_B, then C by
+    rows) under the cfg constraints."""
+    a_rows = np.array(_marginal_tuples(cfg.scenario.m_a, cfg.marg_min, cfg.strict_first),
+                      dtype=np.int64).reshape(-1, cfg.scenario.m_a)
+    b_rows = np.array(_marginal_tuples(cfg.scenario.m_b, cfg.marg_min, cfg.strict_first),
+                      dtype=np.int64).reshape(-1, cfg.scenario.m_b)
     lo, hi = cfg.corr_range
     cells = cfg.scenario.m_a * cfg.scenario.m_b
     if cfg.mode == "exhaustive":
-        size = len(a_tuples) * len(b_tuples) * (hi - lo + 1) ** cells
+        radix = hi - lo + 1
+        per_marginals = radix ** cells
+        size = len(a_rows) * len(b_rows) * per_marginals
         if size > EXHAUSTIVE_CAP:
             raise CapacityError(
                 f"exhaustive space has {size} candidates (cap {EXHAUSTIVE_CAP}); "
                 "use random mode")
-        for am in a_tuples:
-            for bm in b_tuples:
-                for flat in product(range(lo, hi + 1), repeat=cells):
-                    yield am, bm, flat
+        # mixed radix: Alice's tuple outermost, then Bob's, the last cell fastest
+        place = radix ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+        for start in range(0, size, _CHUNK):
+            index = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
+            marginals, corr = np.divmod(index, per_marginals)
+            yield np.hstack([a_rows[marginals // len(b_rows)], b_rows[marginals % len(b_rows)],
+                             lo + corr[:, None] // place % radix])
     else:
-        rng = random.Random(cfg.seed)
-        for _ in range(cfg.sample_count):
-            am = a_tuples[rng.randrange(len(a_tuples))]
-            bm = b_tuples[rng.randrange(len(b_tuples))]
-            flat = tuple(rng.randint(lo, hi) for _ in range(cells))
-            yield am, bm, flat
+        rng = np.random.default_rng(cfg.seed)
+        for start in range(0, cfg.sample_count, _CHUNK):
+            n = min(_CHUNK, cfg.sample_count - start)
+            yield np.hstack([a_rows[rng.integers(len(a_rows), size=n)],
+                             b_rows[rng.integers(len(b_rows), size=n)],
+                             rng.integers(lo, hi, size=(n, cells), endpoint=True)])
 
 
-def _build(cfg: SearchConfig, am, bm, flat, bound) -> BellFunctional:
-    mb = cfg.scenario.m_b
-    corr = [flat[x * mb:(x + 1) * mb] for x in range(cfg.scenario.m_a)]
-    return BellFunctional(cfg.scenario, am, bm, tuple(tuple(r) for r in corr),
-                          Fraction(bound))
+def _build(scenario: Scenario, row: np.ndarray, bound: int) -> BellFunctional:
+    ma, mb = scenario.m_a, scenario.m_b
+    coeffs = row.tolist()
+    corr = [coeffs[ma + mb + x * mb:ma + mb + (x + 1) * mb] for x in range(ma)]
+    return BellFunctional(scenario, coeffs[:ma], coeffs[ma:ma + mb], corr, Fraction(bound))
 
 
 def _trivial_key(scenario: Scenario):
@@ -160,28 +188,32 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
     scenario = cfg.scenario
     d = ns_dimension(scenario)
     report = SearchReport(config=cfg, candidates_tested=0)
-    trivial = _trivial_key(scenario)
-    known = _catalog_keys(scenario)
-    seen: dict = {}
+    trivial = known = None  # keyed on first use: most runs never need them
+    seen = set()
 
-    candidates = _raw_candidates(cfg)
-    while chunk := list(islice(candidates, _CHUNK)):
-        report.candidates_tested += len(chunk)
-        scores = _strategy_values(scenario, [am + bm + flat for am, bm, flat in chunk])
+    for rows in _raw_candidates(cfg):
+        report.candidates_tested += len(rows)
+        scores = _strategy_values(scenario, rows)
         bounds = scores.max(axis=1)
         sat_counts = (scores == bounds[:, None]).sum(axis=1)
         del scores  # hold one chunk's values at a time, not two
-        for idx in np.nonzero(sat_counts >= d)[0]:
-            f = _build(cfg, *chunk[idx], int(bounds[idx]))
+        for idx in np.flatnonzero(sat_counts >= d):
+            report.rank_tested += 1
+            f = _build(scenario, rows[idx], int(bounds[idx]))
             if not facet_check(f).is_tight:
                 continue
+            report.tight += 1
+            if trivial is None:
+                trivial = _trivial_key(scenario)
             key = canonical_key(f)
             if key == trivial:
                 report.trivial_count += 1
                 continue
             if key in seen:
                 continue
-            seen[key] = f
+            seen.add(key)
+            if known is None:
+                known = _catalog_keys(scenario)
             name = known.get(key)
             report.facets_found.append(
                 FacetFinding(functional=f, canonical=canonical_form(f), known_as=name))
@@ -206,6 +238,8 @@ def report_to_json(report: SearchReport) -> dict:
             "strict_first": cfg.strict_first,
         },
         "candidates_tested": report.candidates_tested,
+        "rank_tested": report.rank_tested,
+        "tight": report.tight,
         "trivial_count": report.trivial_count,
         "new_count": report.new_count,
         "facets_found": [

@@ -97,6 +97,11 @@ def compute_table(names=None, *, seed: int = 0, restarts: int = 50,
     unknown = [n for n in names if n not in PRIMARY_NAMES]
     if unknown:
         raise StructuralError(f"not primary catalog entries: {unknown}")
+    # checked here, not per row: only the degenerate row reads eta_restarts
+    if restarts < 1:
+        raise StructuralError("restarts must be >= 1")
+    if eta_restarts < 1:
+        raise StructuralError("eta_restarts must be >= 1")
     ordered = [n for n in PRIMARY_NAMES if n in set(names)]
     tasks = [
         (name, dict(seed=_row_seed(seed, PRIMARY_NAMES.index(name)),

@@ -195,6 +195,15 @@ def test_search_sampling_flags_need_random_mode(capsys):
     assert json.loads(out)["candidates_tested"] == 5
 
 
+def test_search_coefficients_past_int64_are_usage_error(capsys):
+    code, out, err = run_cli(capsys, "search", "--ma", "2", "--mb", "2",
+                             "--corr-min", "-100000000000000000000",
+                             "--mode", "random", "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert "2^62" in err
+
+
 def test_search_command(tmp_path, capsys):
     out_dir = tmp_path / "found"
     code, out, _ = run_cli(capsys, "search", "--ma", "2", "--mb", "2",
@@ -204,6 +213,7 @@ def test_search_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["candidates_tested"] == 81
+    assert payload["candidates_tested"] >= payload["rank_tested"] >= payload["tight"] >= 1
     assert payload["facets_found"][0]["known_as"] == "CHSH"
     assert (out_dir / "report.json").exists()
 
@@ -215,6 +225,15 @@ def test_table1_row_matches_reference(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "name,violation,theta_max_over_pi,w_max,w,eta"
     assert lines[1] == "CHSH,0.2071,0.2500,0.7071,0.7071,0.8284"
+
+
+def test_table1_with_no_restarts_is_usage_error(capsys):
+    # CHSH is a rank-1 row, which never reads --inner-restarts
+    for flag in ("--restarts", "--inner-restarts"):
+        code, out, err = run_cli(capsys, "table1", "--only", "CHSH", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert "restarts must be >= 1" in err
 
 
 def test_table1_deterministic_across_runs_and_jobs(capsys):

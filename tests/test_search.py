@@ -1,11 +1,15 @@
 import json
+from itertools import product
 
+import numpy as np
 import pytest
 
+from bellscan import search
 from bellscan.catalog import catalog_get
 from bellscan.core import CapacityError, Scenario, StructuralError, lift, parse_functional
 from bellscan.polytope import facet_check, local_bound
 from bellscan.search import (
+    _CHUNK,
     SearchConfig,
     _build,
     _marginal_tuples,
@@ -17,9 +21,65 @@ from bellscan.symmetry import canonical_key, equivalent
 
 def generate_candidates(cfg):
     """The candidate stream of run_search, each bound set to its exact local bound."""
-    for am, bm, flat in _raw_candidates(cfg):
-        f = _build(cfg, am, bm, flat, 0)
-        yield _build(cfg, am, bm, flat, local_bound(f))
+    for rows in _raw_candidates(cfg):
+        for row in rows:
+            f = _build(cfg.scenario, row, 0)
+            yield _build(cfg.scenario, row, local_bound(f))
+
+
+def nested_loop_rows(cfg):
+    """The exhaustive stream as nested loops: Alice's marginal tuple outermost,
+    then Bob's, then the correlation cells with the last cell fastest."""
+    s = cfg.scenario
+    lo, hi = cfg.corr_range
+    for am in _marginal_tuples(s.m_a, cfg.marg_min, cfg.strict_first):
+        for bm in _marginal_tuples(s.m_b, cfg.marg_min, cfg.strict_first):
+            for flat in product(range(lo, hi + 1), repeat=s.m_a * s.m_b):
+                yield am + bm + flat
+
+
+def stream_rows(cfg):
+    chunks = list(_raw_candidates(cfg))
+    terms = cfg.scenario.m_a + cfg.scenario.m_b + cfg.scenario.m_a * cfg.scenario.m_b
+    for chunk in chunks:
+        assert chunk.dtype == np.int64 and chunk.ndim == 2 and chunk.shape[1] == terms
+        assert 1 <= len(chunk) <= _CHUNK
+    assert all(len(c) == _CHUNK for c in chunks[:-1])
+    return np.vstack(chunks)
+
+
+def assert_funnel(rep):
+    assert rep.candidates_tested >= rep.rank_tested >= rep.tight
+    assert rep.tight >= rep.trivial_count + len(rep.facets_found)
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(Scenario(2, 2), corr_range=(-1, 1), marg_min=-1),
+    SearchConfig(Scenario(3, 3), corr_range=(-1, 0), marg_min=-2),  # 4608 rows
+    SearchConfig(Scenario(3, 3), corr_range=(-1, 0), marg_min=-2,
+                 strict_first=False),  # 18432 rows: 4.5 chunks
+    SearchConfig(Scenario(1, 3), corr_range=(-2, 1), marg_min=-2),  # one-setting side
+], ids=["2222", "3322-strict", "3322-loose", "1x3"])
+def test_exhaustive_stream_matches_nested_loops(cfg):
+    expected = list(nested_loop_rows(cfg))
+    assert stream_rows(cfg).tolist() == [list(r) for r in expected]
+
+
+def test_random_stream_draws_within_the_constraints():
+    s = Scenario(3, 4)
+    cfg = SearchConfig(s, corr_range=(-2, 1), marg_min=-3, mode="random",
+                       sample_count=2 * _CHUNK + 7, seed=21)
+    rows = stream_rows(cfg)
+    assert len(rows) == cfg.sample_count
+    assert np.array_equal(rows, stream_rows(cfg))
+    other = SearchConfig(s, corr_range=(-2, 1), marg_min=-3, mode="random",
+                         sample_count=cfg.sample_count, seed=22)
+    assert not np.array_equal(rows, stream_rows(other))
+    assert set(map(tuple, rows[:, :3].tolist())) <= set(_marginal_tuples(3, -3, True))
+    assert set(map(tuple, rows[:, 3:7].tolist())) <= set(_marginal_tuples(4, -3, True))
+    cells = rows[:, 7:]
+    assert cells.min() >= -2 and cells.max() <= 1
+    assert set(np.unique(cells).tolist()) == {-2, -1, 0, 1}
 
 
 def test_marginal_tuples_match_constraints():
@@ -79,6 +139,32 @@ def test_config_validation():
         SearchConfig(Scenario(2, 2), mode="clever")
     with pytest.raises(StructuralError):
         SearchConfig(Scenario(2, 2), mode="random", sample_count=0)
+    with pytest.raises(StructuralError):
+        SearchConfig(Scenario(2, 2), mode="random", seed=-1)
+
+
+@pytest.mark.parametrize("bounds", [
+    dict(corr_range=(-2 ** 62, 0)),
+    dict(corr_range=(0, 2 ** 62)),
+    dict(corr_range=(-10 ** 20, 2)),
+    dict(marg_min=-2 ** 62),
+])
+def test_config_rejects_coefficients_past_int64(bounds):
+    with pytest.raises(StructuralError) as err:
+        SearchConfig(Scenario(2, 2), mode="random", **bounds)
+    assert "2^62" in str(err.value)
+
+
+def test_random_search_at_the_coefficient_limit():
+    # the largest accepted range: drawn in int64, scored in Python integers
+    top = 2 ** 62 - 1
+    cfg = SearchConfig(Scenario(2, 2), corr_range=(-top, top), marg_min=-1,
+                       mode="random", sample_count=20, seed=4)
+    rows = stream_rows(cfg)
+    assert np.abs(rows[:, 4:]).max() > 2 ** 60
+    for f in generate_candidates(cfg):
+        assert f.bound == local_bound(f)
+    assert run_search(cfg).candidates_tested == 20
 
 
 def test_run_search_2222_finds_chsh_class():
@@ -88,6 +174,8 @@ def test_run_search_2222_finds_chsh_class():
     assert [f.known_as for f in rep.facets_found] == ["CHSH"]
     assert rep.new_count == 0
     assert equivalent(rep.facets_found[0].functional, catalog_get("CHSH").functional)
+    assert_funnel(rep)
+    assert rep.tight > 0
 
 
 def test_run_search_trivial_facets_filtered():
@@ -96,6 +184,7 @@ def test_run_search_trivial_facets_filtered():
     rep = run_search(cfg)
     assert rep.trivial_count > 0
     assert [f.known_as for f in rep.facets_found] == ["CHSH"]
+    assert_funnel(rep)
 
 
 def test_run_search_found_facets_are_sound():
@@ -120,6 +209,23 @@ def test_run_search_degenerate_range_finds_nothing():
     rep = run_search(cfg)
     assert rep.candidates_tested == 1
     assert rep.facets_found == [] and rep.trivial_count == 0
+    assert_funnel(rep)
+    assert rep.tight == 0
+
+
+def test_catalog_keys_computed_only_when_a_facet_is_found(monkeypatch):
+    calls = []
+
+    def counting_key(f):
+        calls.append(f)
+        return canonical_key(f)
+
+    monkeypatch.setattr(search, "canonical_key", counting_key)
+    run_search(SearchConfig(Scenario(2, 2), corr_range=(0, 0), marg_min=0,
+                            strict_first=False))
+    assert calls == []
+    rep = run_search(SearchConfig(Scenario(2, 2), corr_range=(-1, 1), marg_min=-1))
+    assert len(rep.facets_found) == 1 and len(calls) > rep.tight
 
 
 def test_run_search_writes_files(tmp_path):
@@ -131,4 +237,5 @@ def test_run_search_writes_files(tmp_path):
     assert equivalent(parsed, catalog_get("CHSH").functional)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["candidates_tested"] == 81
+    assert (report["rank_tested"], report["tight"]) == (rep.rank_tested, rep.tight)
     assert report["facets_found"][0]["known_as"] == "CHSH"
