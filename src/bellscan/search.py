@@ -7,13 +7,19 @@ range and marginal columns ordered as
 
 (the first "<" is configurable since the printed constraint is strict
 there and "<=" later).  Every candidate's bound is its exact local bound,
-so the facet test is the only filter that matters.  Screening runs in
-bulk: the facet test's exact scoring helper values each chunk of candidates
-at every deterministic strategy, a candidate's bound is its largest value,
-and only candidates with at least d saturating strategies reach the rank
-test.  Found facets are deduplicated by canonical form and matched against
-the catalog (including zero-padded liftings of smaller-scenario entries);
-single-cell positivity facets are counted separately as trivial.
+so the facet test is the only filter that matters.  Both halves of that
+test run on whole chunks of candidates with the facet test's own helpers.
+The screen values each chunk at every deterministic strategy, one GEMM
+against the behavior matrix per sub-block of _BLOCK values (exact in
+float64 while max|coefficient| * d < 2^53, in Python integers beyond); a
+candidate's bound is its largest value.  Candidates with at least d
+saturating strategies are rank-tested together: their difference matrices
+V[sat] - V[first] are stacked and ranked modulo as many primes as a
+Hadamard bound asks for.  Only candidates of affine rank d-1 become
+`BellFunctional`s.  Found facets are deduplicated by canonical form and
+matched against the catalog (including zero-padded liftings of
+smaller-scenario entries); single-cell positivity facets are counted
+separately as trivial.
 
 Candidates arrive as int64 numpy chunks of at most _CHUNK coefficient rows
 (M_A, M_B, then C by rows), the layout the scoring helper takes.  The
@@ -49,7 +55,8 @@ from .core import (
     lift,
     serialize_functional,
 )
-from .polytope import _strategy_values, facet_check, ns_dimension
+from .polytope import _BLOCK, _affine_dims, _strategy_values, ns_dimension
+from .polytope import facet_check  # noqa: F401  (perfbench traces search.facet_check)
 from .symmetry import canonical_form, canonical_key
 
 __all__ = [
@@ -148,6 +155,10 @@ def _raw_candidates(cfg: SearchConfig) -> Iterator[np.ndarray]:
             yield np.hstack([a_rows[marginals // len(b_rows)], b_rows[marginals % len(b_rows)],
                              lo + corr[:, None] // place % radix])
     else:
+        if not (len(a_rows) and len(b_rows)):
+            raise StructuralError(
+                f"no marginal tuple satisfies marg_min {cfg.marg_min} with "
+                f"strict_first={cfg.strict_first}; random mode has nothing to draw")
         rng = np.random.default_rng(cfg.seed)
         for start in range(0, cfg.sample_count, _CHUNK):
             n = min(_CHUNK, cfg.sample_count - start)
@@ -191,18 +202,20 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
     trivial = known = None  # keyed on first use: most runs never need them
     seen = set()
 
+    rows_per_gemm = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
     for rows in _raw_candidates(cfg):
         report.candidates_tested += len(rows)
-        scores = _strategy_values(scenario, rows)
-        bounds = scores.max(axis=1)
-        sat_counts = (scores == bounds[:, None]).sum(axis=1)
-        del scores  # hold one chunk's values at a time, not two
-        for idx in np.flatnonzero(sat_counts >= d):
-            report.rank_tested += 1
-            f = _build(scenario, rows[idx], int(bounds[idx]))
-            if not facet_check(f).is_tight:
-                continue
+        bounds, saturated = [], []
+        for start in range(0, len(rows), rows_per_gemm):
+            values = _strategy_values(scenario, rows[start:start + rows_per_gemm])
+            bounds.append(values.max(axis=1))
+            saturated.append(values == bounds[-1][:, None])
+        bounds, saturated = np.concatenate(bounds), np.concatenate(saturated)
+        ranked = np.flatnonzero(saturated.sum(axis=1) >= d)
+        report.rank_tested += len(ranked)
+        for idx in ranked[_affine_dims(scenario, saturated[ranked]) == d - 1]:
             report.tight += 1
+            f = _build(scenario, rows[idx], int(bounds[idx]))
             if trivial is None:
                 trivial = _trivial_key(scenario)
             key = canonical_key(f)

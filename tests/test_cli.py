@@ -204,6 +204,17 @@ def test_search_coefficients_past_int64_are_usage_error(capsys):
     assert "2^62" in err
 
 
+def test_search_over_an_empty_marginal_space(capsys):
+    space = ["search", "--ma", "2", "--mb", "2", "--marg-min", "0", "--format", "json"]
+    code, out, _ = run_cli(capsys, *space)
+    assert code == 0
+    assert json.loads(out)["candidates_tested"] == 0
+    code, out, err = run_cli(capsys, *space, "--mode", "random")
+    assert code == 2
+    assert out == ""
+    assert "error: no marginal tuple" in err
+
+
 def test_search_command(tmp_path, capsys):
     out_dir = tmp_path / "found"
     code, out, _ = run_cli(capsys, "search", "--ma", "2", "--mb", "2",

@@ -143,6 +143,15 @@ def test_config_validation():
         SearchConfig(Scenario(2, 2), mode="random", seed=-1)
 
 
+def test_empty_marginal_space():
+    # no tuple satisfies 0 <= M(0) < M(1) = 0
+    s = Scenario(2, 2)
+    assert run_search(SearchConfig(s, marg_min=0)).candidates_tested == 0
+    with pytest.raises(StructuralError) as err:
+        run_search(SearchConfig(s, marg_min=0, mode="random"))
+    assert "marg_min 0" in str(err.value)
+
+
 @pytest.mark.parametrize("bounds", [
     dict(corr_range=(-2 ** 62, 0)),
     dict(corr_range=(0, 2 ** 62)),
