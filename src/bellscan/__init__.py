@@ -10,15 +10,12 @@ from .core import (
     FunctionalParseError,
     Scenario,
     StructuralError,
-    behavior_of_strategy,
     evaluate,
     functional_from_json,
     functional_to_json,
     lift,
     parse_functional,
     serialize_functional,
-    strategies,
-    uniform_behavior,
 )
 from .catalog import (
     CatalogEntry,
@@ -32,22 +29,16 @@ from .polytope import (
     FacetReport,
     facet_check,
     local_bound,
-    local_bound_bruteforce,
     ns_dimension,
-    saturating_strategies,
 )
 from .symmetry import (
     Transformation,
-    all_transformations,
     apply_transformation,
     canonical_form,
     canonical_key,
     equivalent,
-    identity_transformation,
     random_transformation,
-    relabel_behavior,
     symmetric_representative,
-    transformation_count,
 )
 from .quantum import (
     Measurement,

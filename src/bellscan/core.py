@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "BellError",
@@ -33,9 +33,6 @@ __all__ = [
     "DeterministicStrategy",
     "Behavior",
     "evaluate",
-    "behavior_of_strategy",
-    "uniform_behavior",
-    "strategies",
     "strategy_from_index",
     "lift",
     "parse_functional",
@@ -191,26 +188,6 @@ def evaluate(f: BellFunctional, p: Behavior):
     return total
 
 
-def behavior_of_strategy(s: DeterministicStrategy) -> Behavior:
-    """Deterministic vertex of the local polytope: p_ab(x,y) = s_a(x) s_b(y)."""
-    return Behavior(
-        p_a=s.s_a,
-        p_b=s.s_b,
-        p_ab=tuple(tuple(a * b for b in s.s_b) for a in s.s_a),
-    )
-
-
-def uniform_behavior(scenario: Scenario) -> Behavior:
-    """Exact uniform point p_a = p_b = 1/2, p_ab = 1/4 (maximally mixed statistics)."""
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    return Behavior(
-        p_a=(half,) * scenario.m_a,
-        p_b=(half,) * scenario.m_b,
-        p_ab=((quarter,) * scenario.m_b,) * scenario.m_a,
-    )
-
-
 def strategy_from_index(scenario: Scenario, index: int) -> DeterministicStrategy:
     """Strategy numbering: Alice bits in the low m_a positions, Bob above."""
     ma, mb = scenario.m_a, scenario.m_b
@@ -219,12 +196,6 @@ def strategy_from_index(scenario: Scenario, index: int) -> DeterministicStrategy
     s_a = tuple((index >> x) & 1 for x in range(ma))
     s_b = tuple((index >> (ma + y)) & 1 for y in range(mb))
     return DeterministicStrategy(s_a, s_b)
-
-
-def strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
-    """All 2^(m_a+m_b) deterministic strategies, in index order."""
-    for index in range(scenario.num_strategies):
-        yield strategy_from_index(scenario, index)
 
 
 def lift(f: BellFunctional, scenario: Scenario) -> BellFunctional:

@@ -4,13 +4,12 @@ Everything here is exact.  `_strategy_values` scores coefficient tables at
 every deterministic strategy with one GEMM against the 0/1 behavior matrix,
 in float64 when max|coefficient| * d < 2^53 (so that every partial sum is an
 integer float64 holds exactly) and in Python integers otherwise; the
-saturating set, the facet test and search screening all use it.
-`local_bound_bruteforce` is the reference walk.  A functional is a facet iff
-its bound is attained and the saturating points span an affine subspace of
-dimension d-1 (d the no-signaling dimension).  `_affine_dims` takes that
-rank for a whole batch of saturating sets at once: Gaussian elimination
-modulo primes below 2^31, with as many primes as a Hadamard bound on the
-minors asks for.
+saturating set, the facet test and search screening all use it.  A
+functional is a facet iff its bound is attained and the saturating points
+span an affine subspace of dimension d-1 (d the no-signaling dimension).
+`_affine_dims` takes that rank for a whole batch of saturating sets at
+once: Gaussian elimination modulo primes below 2^31, with as many primes
+as a Hadamard bound on the minors asks for.
 """
 
 from __future__ import annotations
@@ -20,23 +19,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    BellFunctional,
-    CapacityError,
-    DeterministicStrategy,
-    Scenario,
-    behavior_of_strategy,
-    evaluate,
-    strategies,
-    strategy_from_index,
-)
+from .core import BellFunctional, CapacityError, Scenario
 
 __all__ = [
     "FacetReport",
     "ns_dimension",
     "local_bound",
-    "local_bound_bruteforce",
-    "saturating_strategies",
     "facet_check",
 ]
 
@@ -78,20 +66,6 @@ def local_bound(f: BellFunctional) -> Fraction:
     return Fraction(best)
 
 
-def local_bound_bruteforce(f: BellFunctional) -> Fraction:
-    """Full 2^(m_a+m_b) enumeration; the oracle for local_bound."""
-    ma, mb = f.scenario.m_a, f.scenario.m_b
-    if ma + mb > _ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"brute-force enumeration over 2^{ma + mb} strategies exceeds the guard")
-    best = None
-    for s in strategies(f.scenario):
-        value = evaluate(f, behavior_of_strategy(s))
-        if best is None or value > best:
-            best = value
-    return Fraction(best)
-
-
 def _bits(indices: np.ndarray, m: int) -> np.ndarray:
     """Row k holds the m low bits of indices[k], least significant first."""
     return (indices[:, None] >> np.arange(m)) & 1
@@ -106,7 +80,7 @@ def _behaviors(scenario: Scenario, indices: np.ndarray) -> np.ndarray:
     return np.hstack([bits, joint])
 
 
-def _strategy_values(scenario: Scenario, rows) -> np.ndarray:
+def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
     """Exact values of coefficient rows (M_A, M_B, then C by rows) at every
     strategy: one column per strategy, in strategy_from_index order.
 
@@ -114,7 +88,8 @@ def _strategy_values(scenario: Scenario, rows) -> np.ndarray:
     behavior matrix V.  In float64 that GEMM is exact when
     max|coefficient| * d < 2^53: every partial sum is then an integer below
     2^53, whatever the summation order.  Larger rows are scored in Python
-    integers.  V is built _BLOCK elements at a time.
+    integers.  V is built _BLOCK elements at a time, unless a caller that
+    scores many tables passes the whole of it as `behaviors`.
     """
     ma, mb = scenario.m_a, scenario.m_b
     if ma + mb > _ENUMERATION_LIMIT:
@@ -129,6 +104,8 @@ def _strategy_values(scenario: Scenario, rows) -> np.ndarray:
         table = table.astype(np.float64)
     else:
         table = np.array(rows, dtype=object).reshape(-1, terms)
+    if behaviors is not None:
+        return table @ behaviors.T
     count = 1 << (ma + mb)
     values = np.empty((len(table), count), dtype=table.dtype)
     step = max(1, _BLOCK // terms)
@@ -147,11 +124,6 @@ def _scored(f: BellFunctional) -> tuple[np.ndarray, np.ndarray]:
     if f.bound.denominator != 1 or abs(target) > int(np.abs(values).max()):
         return values, np.zeros(values.shape, dtype=bool)
     return values, values == target
-
-
-def saturating_strategies(f: BellFunctional) -> list[DeterministicStrategy]:
-    """Strategies whose behavior attains f.bound exactly."""
-    return [strategy_from_index(f.scenario, int(i)) for i in np.flatnonzero(_scored(f)[1])]
 
 
 def _primes():

@@ -1,41 +1,41 @@
 """Two-qubit models and see-saw maximization of Bell functionals.
 
-States are Schmidt-form pure states cos(theta)|00> + sin(theta)|11| with
-theta in [0, pi/4] (the form is symmetric about pi/4, so the half interval
-is canonical).  A two-outcome measurement is described by its "0" effect
-(t + r.sigma)/2, where t is the effect's trace: a rank-1 projector pair
-has t = 1 and a unit Bloch vector r, and a degenerate von Neumann
-measurement has the identity (t = 2) or the zero operator (t = 0) as its
-"0" effect, with r = 0.  The engine's int8 kind code is t itself.
+States are Schmidt-form pure states cos(theta)|00> + sin(theta)|11> with
+theta in [0, pi/4] (the form is symmetric about pi/4), or at fixed theta
+the mixture w|psi><psi| + (1-w) 1/4 that degenerate noise thresholds need.
+A two-outcome measurement is its "0" effect (t + r.sigma)/2, t its trace:
+a rank-1 projector has t = 1 and a unit Bloch vector r; a degenerate one
+has the identity (t = 2) or the zero operator (t = 0), with r = 0.  The
+engine's int8 kind code is t itself.
 
-With T = diag(sin 2theta, -sin 2theta, 1) the closed-form behavior of a
-model is, for every kind,
+The engine works in effect coordinates x = (t, r_x, r_y, r_z).  In the
+correlation-tensor form of the state, with wc = w cos 2theta, ws =
+w sin 2theta and u = (1, 0, 0, wc) / 2, a setting occurs with p = x . u
+and a pair with p_ab = x_a . Omega x_b, where
 
-    p_a(x)    = (t_a + cos(2theta) a_z) / 2
-    p_ab(x,y) = (t_a t_b + cos(2theta)(t_b a_z + t_a b_z) + a.T.b) / 4 .
+    Omega = [[1, 0, 0, wc], [0, ws, 0, 0], [0, 0, -ws, 0], [wc, 0, 0, w]] / 4,
 
-The optimizer is plain coordinate ascent.  For a fixed state a party's "0"
-effect scores t * base + r.g per setting, so the best projector aligns r
-with g (value base + |g|), the identity scores 2 base and the zero effect
-0; the last two compete only when degenerate effects are allowed.  For a
-free state the 4x4 Bell operator's top eigenvector is re-expressed in
-Schmidt form, absorbing the local unitaries into the measurements.  Every
-step is an exact block maximum, so the objective never decreases; global
-quality comes from seeded random restarts, which run batched and share one
-correlation table (marginal coefficients may differ per row).  A row stops
-after the first sweep that moves its value by less than 1e-10 (_TOL), so
-its trajectory does not depend on its batch and a converged row costs
-nothing while slower rows run on.  At fixed theta a sweep's value is Alice's
-marginal term plus the sum of Bob's per-setting block maxima.  A decision
-call ("does some row beat this target?") stops after the first sweep in
-which a row exceeds the target; monotone ascent means a full run would
-give the same answer.
+so a functional's value is one bilinear form plus marginal terms.  The
+optimizer is coordinate ascent on it.  With the partner fixed, one product
+with kron(C, Omega) plus the marginal term gives each setting's field G,
+and an effect scores x . G: the best projector aligns r with g = G[1:]
+(value G[0] + |g|), the identity scores 2 G[0] and the zero effect 0; the
+last two compete only when degenerate effects are allowed.  For a free
+state the Bell operator sum_ij T_ij sigma_i (x) sigma_j, T = X_a^T C X_b / 4
+plus marginal rows, has its top eigenvector put in Schmidt form; the local
+unitaries fold into the measurements as SO(3) rotations of the Bloch
+vectors.  Every step is an exact block maximum, so the value never
+decreases; seeded random restarts run batched and share one correlation
+table (marginal coefficients may differ per row).
 
-The engine also accepts a visibility w, optimizing over measurements on
-the isotropic mixture w|psi><psi| + (1-w) 1/4 at fixed theta (cos and T
-above carry a factor w); this is what degenerate-measurement noise
-thresholds need, since the identity effect makes the noise term
-measurement-dependent.
+No product sums across rows: each is stacked per row (np.matmul over the
+batch axis), since one GEMM over the batch rounds differently with the
+batch size.  A row stops after the first sweep that moves its value by
+less than 1e-10 (_TOL), so its trajectory does not depend on its batch.
+At fixed theta a sweep's value is Alice's marginal term plus the sum of
+Bob's per-setting block maxima.  A decision call ("does some row beat this
+target?") stops after the first sweep in which a row exceeds the target;
+monotone ascent means a full run would give the same answer.
 """
 
 from __future__ import annotations
@@ -63,12 +63,14 @@ KIND_ALWAYS_ONE = "always_one"    # "0" effect is the zero operator
 _ZERO, _PROJ, _ID = 0, 1, 2
 _KIND_NAMES = {_PROJ: KIND_PROJECTOR, _ID: KIND_ALWAYS_ZERO, _ZERO: KIND_ALWAYS_ONE}
 
-_SIGMA = np.array([
+_PAULI = np.array([
+    [[1, 0], [0, 1]],
     [[0, 1], [1, 0]],
     [[0, -1j], [1j, 0]],
     [[1, 0], [0, -1]],
 ], dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
+# row 4i + j holds sigma_i (x) sigma_j, flattened: the Bell operator is T.ravel() @ it
+_PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", _PAULI, _PAULI).reshape(16, 16)
 _TOL = 1e-10  # a sweep that moves a row's value by less ends that row
 
 
@@ -157,11 +159,9 @@ def model_behavior(m: QubitModel) -> Behavior:
     return Behavior(p_a, p_b, p_ab)
 
 
-# ---------------------------------------------------------------------------
 # Batched see-saw engine.  All arrays carry a leading batch axis; one row is
 # one independent optimization (a restart, or an assignment x restart in the
-# detection module).
-# ---------------------------------------------------------------------------
+# detection module).  A party's state is its (n, m, 4) effect coordinates.
 
 def _random_bloch(rng: np.random.Generator, shape) -> np.ndarray:
     v = rng.normal(size=shape + (3,))
@@ -170,83 +170,89 @@ def _random_bloch(rng: np.random.Generator, shape) -> np.ndarray:
     return v / norm
 
 
-def _marginals(kind, bloch, wc):
-    return (kind + wc[:, None] * bloch[..., 2]) / 2.0
+def _kernels(C, theta, w):
+    """Per angle: Alice's field kernel, Bob's kron(C, Omega) (k, 4 m_a, 4 m_b)
+    whose transpose it is, and wc as a (k, 1) column."""
+    wc, ws = w * np.cos(2 * theta), w * np.sin(2 * theta)
+    omega = np.zeros(theta.shape + (4, 4))
+    omega[:, 0, 0] = 0.25
+    omega[:, 0, 3] = omega[:, 3, 0] = wc / 4.0
+    omega[:, 1, 1] = ws / 4.0
+    omega[:, 2, 2] = -ws / 4.0
+    omega[:, 3, 3] = w / 4.0
+    (ma, mb), k = C.shape, len(theta)
+    kb = (C[:, None, :, None] * omega[:, None, :, None, :]).reshape(k, 4 * ma, 4 * mb)
+    return np.ascontiguousarray(kb.transpose(0, 2, 1)), kb, wc[:, None]
 
 
-def _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch):
-    ta, tb = akind[:, :, None], bkind[:, None, :]
-    az = abloch[..., 2][:, :, None]
-    bz = bbloch[..., 2][:, None, :]
-    cross = (abloch[..., 0][:, :, None] * bbloch[..., 0][:, None, :]
-             - abloch[..., 1][:, :, None] * bbloch[..., 1][:, None, :])
-    pab = (ta * tb + wc[:, None, None] * (tb * az + ta * bz) + w * az * bz
-           + ws[:, None, None] * cross) / 4.0
-    return (np.einsum("nx,nx->n", MA, _marginals(akind, abloch, wc))
-            + np.einsum("ny,ny->n", MB, _marginals(bkind, bbloch, wc))
-            + pab.reshape(len(pab), -1) @ C.ravel())
+def _field(M, x, K, wc):
+    """(n, m, 4) scores of one party's effects given the partner's x (M is
+    halved): the value is x_self . field plus the partner's marginal term.
+    One stacked product per row; none sums across rows."""
+    G = np.matmul(x.reshape(len(x), 1, -1), K).reshape(M.shape + (4,))
+    G[..., 0] += M
+    G[..., 3] += M * wc
+    return G
 
 
-def _update_party(M, C, wc, ws, w, other_kind, other_bloch, allow_degenerate):
-    """Exact block maximum over one party's measurements (partner fixed).
+def _marginal(M, x, wc):
+    """A party's marginal term, M halved: an effect occurs with (t + wc r_z) / 2."""
+    return np.einsum("nm,nm->n", M, x[..., 0] + wc * x[..., 3])
 
-    C is the (m_self, m_other) table shared by all rows.  Returns the new
-    kinds and Bloch vectors and, per setting, the block maximum attained:
-    the partner's marginal term plus the sum of these is the new value."""
-    t, r = other_kind, other_bloch
-    wc, ws = wc[:, None], ws[:, None]
-    # the effect (t + r.sigma)/2 scores t * base + r.g
-    base = M / 2.0 + ((t + wc * r[..., 2]) / 2.0) @ C.T / 2.0
-    g = np.empty(r.shape[:1] + M.shape[1:] + (3,))
-    g[..., 0] = ws * (r[..., 0] @ C.T) / 4.0
-    g[..., 1] = -ws * (r[..., 1] @ C.T) / 4.0
-    g[..., 2] = M * wc / 2.0 + ((wc * t + w * r[..., 2]) / 4.0) @ C.T
-    norm = np.sqrt(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] + g[..., 2] * g[..., 2])
-    safe = norm > 1e-300
+
+def _value(xa, fa, MB, xb, wc):
+    """The value from Alice's coordinates and field and Bob's marginal term."""
+    return np.einsum("nxi,nxi->n", xa, fa) + _marginal(MB, xb, wc)
+
+
+def _best_effects(G, allow_degenerate):
+    """Exact block maximum over one party's effects, given their scores G:
+    the new coordinates and each setting's maximum.  The projector along
+    g = G[1:] scores G[0] + |g|, the identity 2 G[0], the zero effect 0."""
+    base = G[..., 0]
+    norm = np.sqrt(G[..., 1] ** 2 + G[..., 2] ** 2 + G[..., 3] ** 2)
+    best = base + norm
+    x = np.empty_like(G)
+    x[..., 0] = _PROJ
     # g = 0: every r is optimal; +z keeps the projector's r a unit vector
-    new_bloch = g / np.where(safe, norm, np.inf)[..., None]
-    new_bloch[..., 2] += ~safe
-    v_proj = base + norm
+    unit = norm > 1e-300
+    plus_z = ~unit
     if allow_degenerate:
         # argmax over (projector, identity, zero); ties go to the earlier one
         v_id = 2.0 * base
-        best = np.maximum(np.maximum(v_proj, v_id), 0.0)
-        proj = v_proj >= best
-        kind = np.where(proj, _PROJ, _ID * (v_id >= 0.0)).astype(np.int8)
-        return kind, new_bloch * proj[..., None], best
-    return np.full(base.shape, _PROJ, dtype=np.int8), new_bloch, v_proj
+        top = np.maximum(np.maximum(best, v_id), 0.0)
+        proj = best >= top
+        x[..., 0] = np.where(proj, _PROJ, _ID * (v_id >= 0.0))
+        best = top
+        unit &= proj  # a degenerate effect has r = 0
+        plus_z &= proj
+    scale = np.where(unit, norm, np.inf)
+    for k in (1, 2, 3):
+        np.divide(G[..., k], scale, out=x[..., k])
+    x[..., 3] += plus_z
+    return x, best
 
 
-def _effects(kind, bloch) -> np.ndarray:
-    """(N, m, 2, 2) complex "0"-outcome effects."""
-    return 0.5 * (kind[..., None, None] * _EYE2 + np.einsum("nmk,kij->nmij", bloch, _SIGMA))
+def _rotation(U):
+    """(n, 3, 3) R with U^dag (r.sigma) U = (r R).sigma: the SO(3) image of U."""
+    return 0.5 * np.einsum("lab,nbc,kcd,nda->nkl", _PAULI[1:], U.conj().transpose(0, 2, 1),
+                           _PAULI[1:], U).real
 
 
-def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
-    """Top eigenvector of the Bell operator, re-canonicalized to Schmidt form."""
-    A = _effects(akind, abloch)
-    B = _effects(bkind, bbloch)
-    G = np.einsum("xy,nxij,nykl->nikjl", C, A, B)
-    G += np.einsum("nx,nxij,kl->nikjl", MA, A, _EYE2)
-    G += np.einsum("ny,ij,nykl->nikjl", MB, _EYE2, B)
-    n = MA.shape[0]
-    G = G.reshape(n, 4, 4)
-    _, vecs = np.linalg.eigh(G)
-    psi = vecs[:, :, -1].reshape(n, 2, 2)
-    u, s, vh = np.linalg.svd(psi)
+def _schmidt_step(MA, MB, C, xa, xb):
+    """Free-state block maximum (MA, MB halved): the Bell operator's top
+    eigenvector in Schmidt form.  Returns the angles and new coordinates."""
+    n = len(xa)
+    half = np.matmul(C, xb) / 4.0
+    half[..., 0] += MA
+    t = np.matmul(xa.transpose(0, 2, 1), half)
+    t[:, 0] += np.matmul(MB[:, None, :], xb)[:, 0]
+    _, vecs = np.linalg.eigh(np.matmul(t.reshape(n, 1, 16), _PAULI_PAIRS).reshape(n, 4, 4))
+    u, s, vh = np.linalg.svd(vecs[:, :, -1].reshape(n, 2, 2))
     theta = np.arctan2(s[:, 1], s[:, 0])  # s sorted descending -> theta in [0, pi/4]
-    ub = np.transpose(vh, (0, 2, 1))      # Bob's Schmidt basis (conjugated columns)
-    new_a = np.einsum("nji,nxjk,nkl->nxil", u.conj(), A, u)
-    new_b = np.einsum("nji,nyjk,nkl->nyil", ub.conj(), B, ub)
-
-    def extract(eff):
-        # a degenerate effect's traceless part is rounding noise: keep r = 0
-        vec = np.real(np.einsum("nmij,kji->nmk", eff, _SIGMA))
-        norm = np.linalg.norm(vec, axis=-1, keepdims=True)
-        ok = norm > 1e-12
-        return np.where(ok, vec / np.where(ok, norm, 1.0), 0.0)
-
-    return theta, extract(new_a), extract(new_b)
+    xa, xb = (np.concatenate([x[..., :1], np.matmul(x[..., 1:], _rotation(U))], axis=-1)
+              for x, U in ((xa, u), (xb, vh.transpose(0, 2, 1))))  # Bob: conjugated columns
+    return theta, xa, xb
 
 
 def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False,
@@ -254,74 +260,71 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
     """Run one batched see-saw; returns the final state of every row, with
     its sweeps (`row_sweeps`) and whether it stopped on _TOL (`converged`).
 
-    MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is shared.
-    A row freezes after the first sweep that moves its value by less than
-    _TOL, so its trajectory does not depend on the other rows.  A target
-    (scalar or per row) ends the run after the first sweep in which some
-    row's value exceeds it.
+    MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is shared,
+    and so is theta at fixed theta.  A row freezes after the first sweep
+    that moves its value by less than _TOL, so its trajectory does not
+    depend on the other rows.  A target (scalar or per row) ends the run
+    after the first sweep in which some row's value exceeds it.
     """
-    MA = np.ascontiguousarray(MA, dtype=float)
-    MB = np.ascontiguousarray(MB, dtype=float)
     C = np.ascontiguousarray(C, dtype=float)
+    MA, MB = (np.asarray(M, dtype=float) / 2.0 for M in (MA, MB))  # halved from here on
     (n, ma), mb = MA.shape, MB.shape[1]
     if free_theta and w != 1.0:
         raise StructuralError("free-state updates require visibility 1")
-
     theta = np.array(theta, dtype=float).reshape(n).copy()
-    akind, bkind = (np.full((n, m), _PROJ, dtype=np.int8) for m in (ma, mb))
-    abloch = _random_bloch(rng, (n, ma))
-    bbloch = _random_bloch(rng, (n, mb))
-    if init is not None:
-        rows = init["rows"]
-        abloch[rows] = init["abloch"]
-        bbloch[rows] = init["bbloch"]
-        akind[rows] = init["akind"]
-        bkind[rows] = init["bkind"]
+    if not free_theta and np.any(theta != theta[0]):
+        raise StructuralError("a fixed-theta batch shares one theta")
 
-    wc = w * np.cos(2 * theta)
-    ws = w * np.sin(2 * theta)
-    values = _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch)
-    out = {"values": values, "theta": theta, "akind": akind, "abloch": abloch,
-           "bkind": bkind, "bbloch": bbloch, "row_sweeps": np.zeros(n, dtype=np.int64),
-           "converged": np.zeros(n, dtype=bool)}
+    xa, xb = (np.concatenate([np.full((n, m, 1), float(_PROJ)), _random_bloch(rng, (n, m))],
+                             axis=-1) for m in (ma, mb))
+    if init is not None:
+        for side, x in (("a", xa), ("b", xb)):
+            x[init["rows"], :, 0] = init[side + "kind"]
+            x[init["rows"], :, 1:] = init[side + "bloch"]
+    ka, kb, wc = _kernels(C, theta if free_theta else theta[:1], w)
+    fa = _field(MA, xb, ka, wc)  # Alice's field, ready for the next sweep
+    values = _value(xa, fa, MB, xb, wc)
+    out = {"values": values, "theta": theta, "xa": xa, "xb": xb,
+           "row_sweeps": np.zeros(n, dtype=np.int64), "converged": np.zeros(n, dtype=bool)}
     history = [values.copy()] if record else None
     target = np.broadcast_to(np.inf if target is None else target, (n,))
     live = np.arange(n)  # the arrays below hold the live rows only
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        akind, abloch, _ = _update_party(MA, C, wc, ws, w, bkind, bbloch,
-                                         allow_degenerate)
-        bkind, bbloch, b_best = _update_party(MB, C.T, wc, ws, w, akind, abloch,
-                                              allow_degenerate)
+        xa, _ = _best_effects(fa, allow_degenerate)
+        xb, b_best = _best_effects(_field(MB, xa, kb, wc), allow_degenerate)
         if free_theta:
-            theta, abloch, bbloch = _update_state(MA, MB, C, akind, abloch,
-                                                  bkind, bbloch)
-            wc = w * np.cos(2 * theta)
-            ws = w * np.sin(2 * theta)
-            new_values = _values(MA, MB, C, wc, ws, w, akind, abloch, bkind, bbloch)
+            theta, xa, xb = _schmidt_step(MA, MB, C, xa, xb)
+            ka, kb, wc = _kernels(C, theta, w)
+            fa = _field(MA, xb, ka, wc)
+            new_values = _value(xa, fa, MB, xb, wc)
         else:
-            new_values = (np.einsum("nx,nx->n", MA, _marginals(akind, abloch, wc))
-                          + b_best.sum(axis=1))
+            fa = _field(MA, xb, ka, wc)
+            new_values = _marginal(MA, xa, wc) + b_best.sum(axis=1)
         done = np.abs(new_values - values) < _TOL
         values = new_values
         stop = sweeps == max_sweeps or bool((values > target).any())
         leave = np.ones_like(done) if stop else done
         if leave.any():
             rows = live[leave]
-            for key, arr in zip(out, (values, theta, akind, abloch, bkind, bbloch)):
+            for key, arr in zip(out, (values, theta, xa, xb)):
                 out[key][rows] = arr[leave]
             out["row_sweeps"][rows] = sweeps
             out["converged"][rows] = done[leave]
             keep = ~leave
-            live, MA, MB, wc, ws, theta, target, values = (
-                a[keep] for a in (live, MA, MB, wc, ws, theta, target, values))
-            akind, abloch, bkind, bbloch = (a[keep] for a in (akind, abloch, bkind, bbloch))
+            live, MA, MB, theta, target, values, xa, xb, fa = (
+                a[keep] for a in (live, MA, MB, theta, target, values, xa, xb, fa))
+            if free_theta:  # fixed-theta kernels are shared, not per row
+                kb, wc = kb[keep], wc[keep]
         if record:
             out["values"][live] = values
             history.append(out["values"].copy())
         if not live.size:
             break
-    return {**out, "history": history, "sweeps": sweeps}
+    xa, xb = out.pop("xa"), out.pop("xb")
+    return {**out, "akind": xa[..., 0].astype(np.int8), "abloch": xa[..., 1:],
+            "bkind": xb[..., 0].astype(np.int8), "bbloch": xb[..., 1:],
+            "history": history, "sweeps": sweeps}
 
 
 def _measurements_from_row(kind, bloch) -> tuple[Measurement, ...]:
@@ -345,10 +348,7 @@ def _model_from_row(state, row: int) -> QubitModel:
 
 
 def _coefficient_arrays(f: BellFunctional):
-    MA = np.array(f.alice_marg, dtype=float)
-    MB = np.array(f.bob_marg, dtype=float)
-    C = np.array(f.corr, dtype=float)
-    return MA, MB, C
+    return tuple(np.array(a, dtype=float) for a in (f.alice_marg, f.bob_marg, f.corr))
 
 
 def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,

@@ -11,7 +11,8 @@ so the facet test is the only filter that matters.  Both halves of that
 test run on whole chunks of candidates with the facet test's own helpers.
 The screen values each chunk at every deterministic strategy, one GEMM
 against the behavior matrix per sub-block of _BLOCK values (exact in
-float64 while max|coefficient| * d < 2^53, in Python integers beyond); a
+float64 while max|coefficient| * d < 2^53, in Python integers beyond); the
+matrix is built once per run while it fits in _BLOCK elements.  A
 candidate's bound is its largest value.  Candidates with at least d
 saturating strategies are rank-tested together: their difference matrices
 V[sat] - V[first] are stacked and ranked modulo as many primes as a
@@ -55,7 +56,7 @@ from .core import (
     lift,
     serialize_functional,
 )
-from .polytope import _BLOCK, _affine_dims, _strategy_values, ns_dimension
+from .polytope import _BLOCK, _affine_dims, _behaviors, _strategy_values, ns_dimension
 from .polytope import facet_check  # noqa: F401  (perfbench traces search.facet_check)
 from .symmetry import canonical_form, canonical_key
 
@@ -203,11 +204,13 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
     seen = set()
 
     rows_per_gemm = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
+    count = 1 << (scenario.m_a + scenario.m_b)
+    behaviors = _behaviors(scenario, np.arange(count)) if count * d <= _BLOCK else None
     for rows in _raw_candidates(cfg):
         report.candidates_tested += len(rows)
         bounds, saturated = [], []
         for start in range(0, len(rows), rows_per_gemm):
-            values = _strategy_values(scenario, rows[start:start + rows_per_gemm])
+            values = _strategy_values(scenario, rows[start:start + rows_per_gemm], behaviors)
             bounds.append(values.max(axis=1))
             saturated.append(values == bounds[-1][:, None])
         bounds, saturated = np.concatenate(bounds), np.concatenate(saturated)

@@ -26,16 +26,12 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
 
-from .core import Behavior, BellFunctional, Scenario, StructuralError
+from .core import BellFunctional, Scenario, StructuralError
 
 __all__ = [
     "Transformation",
-    "identity_transformation",
     "random_transformation",
-    "all_transformations",
-    "transformation_count",
     "apply_transformation",
-    "relabel_behavior",
     "canonical_form",
     "canonical_key",
     "equivalent",
@@ -71,12 +67,6 @@ class Transformation:
             raise StructuralError("party swap requires m_a == m_b")
 
 
-def identity_transformation(s: Scenario) -> Transformation:
-    return Transformation(
-        tuple(range(s.m_a)), tuple(range(s.m_b)),
-        (0,) * s.m_a, (0,) * s.m_b, False)
-
-
 def random_transformation(s: Scenario, rng: random.Random,
                           allow_swap: bool = True) -> Transformation:
     aperm = list(range(s.m_a))
@@ -89,26 +79,6 @@ def random_transformation(s: Scenario, rng: random.Random,
         tuple(rng.randrange(2) for _ in range(s.m_a)),
         tuple(rng.randrange(2) for _ in range(s.m_b)),
         swap)
-
-
-def transformation_count(s: Scenario) -> int:
-    n = 1
-    for k in range(2, s.m_a + 1):
-        n *= k
-    for k in range(2, s.m_b + 1):
-        n *= k
-    n <<= s.m_a + s.m_b
-    return n * (2 if s.m_a == s.m_b else 1)
-
-
-def all_transformations(s: Scenario) -> Iterator[Transformation]:
-    swaps = (False, True) if s.m_a == s.m_b else (False,)
-    for swap in swaps:
-        for aperm in permutations(range(s.m_a)):
-            for bperm in permutations(range(s.m_b)):
-                for aflips in product((0, 1), repeat=s.m_a):
-                    for bflips in product((0, 1), repeat=s.m_b):
-                        yield Transformation(aperm, bperm, aflips, bflips, swap)
 
 
 # ---------------------------------------------------------------------------
@@ -179,48 +149,6 @@ def apply_transformation(f: BellFunctional, t: Transformation) -> BellFunctional
         am, bm = bm, am
         corr = [list(col) for col in zip(*corr)]
     return BellFunctional.build(am, bm, corr, bound)
-
-
-def relabel_behavior(p: Behavior, t: Transformation) -> Behavior:
-    """Behavior relabeling matching apply_transformation (same group element)."""
-    src = _source_map(t)
-    ma, mb = len(t.alice_perm), len(t.bob_perm)
-    if len(p.p_a) != ma or len(p.p_b) != mb:
-        raise StructuralError("behavior shape does not match the transformation")
-
-    def marg(party, idx):
-        return p.p_a[idx] if party == 0 else p.p_b[idx]
-
-    q_a = []
-    for x in range(ma):
-        party, i, fl = src[(0, x)]
-        v = marg(party, i)
-        q_a.append(1 - v if fl else v)
-    q_b = []
-    for y in range(mb):
-        party, i, fl = src[(1, y)]
-        v = marg(party, i)
-        q_b.append(1 - v if fl else v)
-
-    q_ab = []
-    for x in range(ma):
-        pa_party, ia, fa = src[(0, x)]
-        row = []
-        for y in range(mb):
-            pb_party, jb, fb = src[(1, y)]
-            u = marg(pa_party, ia)
-            v = marg(pb_party, jb)
-            joint = p.p_ab[ia][jb] if pa_party == 0 else p.p_ab[jb][ia]
-            if fa and fb:
-                row.append(1 - u - v + joint)
-            elif fa:
-                row.append(v - joint)
-            elif fb:
-                row.append(u - joint)
-            else:
-                row.append(joint)
-        q_ab.append(tuple(row))
-    return Behavior(tuple(q_a), tuple(q_b), tuple(q_ab))
 
 
 # ---------------------------------------------------------------------------

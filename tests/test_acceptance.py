@@ -23,15 +23,12 @@ from bellscan.catalog import PRIMARY_NAMES, catalog_get, catalog_list
 from bellscan.core import (
     BellFunctional,
     Scenario,
-    behavior_of_strategy,
     evaluate,
     lift,
-    strategies,
 )
 from bellscan.polytope import (
     facet_check,
     local_bound,
-    local_bound_bruteforce,
     ns_dimension,
 )
 from bellscan.quantum import (
@@ -54,11 +51,16 @@ from bellscan.symmetry import (
     apply_transformation,
     canonical_key,
     random_transformation,
-    relabel_behavior,
     symmetric_representative,
 )
 from bellscan.table import DEGENERATE_ROWS, compute_row
 from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
+from reference_walks import (
+    behavior_of_strategy,
+    local_bound_bruteforce,
+    relabel_behavior,
+    strategies,
+)
 
 SEED = 0
 CHSH_MAX = 1 / math.sqrt(2) - 0.5

@@ -10,17 +10,15 @@ from bellscan.core import (
     FunctionalParseError,
     Scenario,
     StructuralError,
-    behavior_of_strategy,
     evaluate,
     functional_from_json,
     functional_to_json,
     lift,
     parse_functional,
     serialize_functional,
-    strategies,
-    uniform_behavior,
 )
 from bellscan.catalog import catalog_get, catalog_list
+from reference_walks import behavior_of_strategy, strategies, uniform_behavior
 
 
 def all_zero_outputs(scenario):

@@ -13,21 +13,23 @@ from bellscan.core import (
     CapacityError,
     DeterministicStrategy,
     Scenario,
-    behavior_of_strategy,
     evaluate,
     lift,
-    strategies,
 )
 from bellscan.polytope import (
     facet_check,
     local_bound,
-    local_bound_bruteforce,
     ns_dimension,
-    saturating_strategies,
     _primes,
     _ranks,
     _ranks_mod,
     _strategy_values,
+)
+from reference_walks import (
+    behavior_of_strategy,
+    local_bound_bruteforce,
+    saturating_strategies,
+    strategies,
 )
 
 

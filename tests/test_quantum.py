@@ -15,17 +15,23 @@ from bellscan.quantum import (
     _ID,
     _PROJ,
     _ZERO,
+    _best_effects,
     _coefficient_arrays,
+    _field,
+    _kernels,
     _model_from_row,
     _random_bloch,
+    _schmidt_step,
     _seesaw_batch,
-    _values,
+    _value,
     model_behavior,
     projector,
     seesaw_maximize,
 )
 from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
 from mixed_state import noisy_value
+import seesaw_oracle
+from seesaw_oracle import _values
 
 CHSH_MAX = 1 / math.sqrt(2) - 0.5
 
@@ -264,6 +270,34 @@ def test_rows_run_independently(free, allow_degenerate):
             assert np.array_equal(alone[key][0], batch[key][i]), key
 
 
+@pytest.mark.parametrize("name", ["I4322_2", "I4422_4"])
+@pytest.mark.parametrize("free", [False, True])
+def test_rows_are_bitwise_batch_invariant(name, free):
+    # every product is stacked per row, so a row's arithmetic does not
+    # depend on its batch: even where exact projector/identity ties and
+    # ill-conditioned Schmidt frames amplify rounding, a row run alone
+    # equals its batch row bit for bit
+    MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
+    n = 6
+    rng = np.random.default_rng(11)
+    init = _random_rows(rng, n, MA.size, MB.size, degenerate=True)
+    theta = rng.uniform(0.0, math.pi / 4, n) if free else np.full(n, 0.3)
+
+    def run(rows):
+        sub = {key: v[rows] for key, v in init.items() if key != "rows"}
+        return _seesaw_batch(np.tile(MA, (len(rows), 1)), np.tile(MB, (len(rows), 1)), C,
+                             theta=theta[rows], init={"rows": np.arange(len(rows)), **sub},
+                             free_theta=free, allow_degenerate=True,
+                             rng=np.random.default_rng(0))
+
+    batch = run(np.arange(n))
+    for i in range(n):
+        alone = run(np.array([i]))
+        for key in ("values", "theta", "akind", "abloch", "bkind", "bbloch",
+                    "row_sweeps", "converged"):
+            assert np.array_equal(alone[key][0], batch[key][i]), key
+
+
 @pytest.mark.parametrize("allow_degenerate", [False, True])
 def test_zero_block_gives_unit_projectors(allow_degenerate):
     # an all-zero block ties the three effects at 0; the projector wins the
@@ -304,6 +338,79 @@ def test_free_degenerate_batch_values_match_model_oracle():
                           allow_degenerate=True, rng=rng)
     assert np.any(state["akind"] != _PROJ) or np.any(state["bkind"] != _PROJ)
     assert np.max(np.abs(_check_values(f, state, 1.0) - state["values"])) <= 1e-12
+
+
+def _coords(state, side):
+    return np.concatenate([state[side + "kind"][..., None], state[side + "bloch"]], axis=-1)
+
+
+@pytest.mark.parametrize("w", [1.0, 0.7])
+@pytest.mark.parametrize("theta", [0.0, 0.2, math.pi / 8, 0.6, math.pi / 4])
+@pytest.mark.parametrize("allow_degenerate", [False, True])
+def test_block_maxima_match_oracle(w, theta, allow_degenerate):
+    # each half-sweep in effect coordinates against the oracle's algebra on
+    # kinds and Bloch vectors: new kinds exactly, new Bloch vectors,
+    # per-setting block maxima and values within 1e-12.  Inputs mix
+    # projector, identity and zero effects; marginals differ per row, and
+    # their noise keeps the three effects from tying exactly
+    f = catalog_get("I4322_2").functional
+    MA, MB, C = _coefficient_arrays(f)
+    n = 40
+    rng = np.random.default_rng(17)
+    state = _random_rows(rng, n, MA.size, MB.size, degenerate=True)
+    MA = MA + rng.normal(size=(n, MA.size))
+    MB = MB + rng.normal(size=(n, MB.size))
+    wc, ws = np.full(n, w * math.cos(2 * theta)), np.full(n, w * math.sin(2 * theta))
+    ka, kb, wc1 = _kernels(C, np.array([theta]), w)
+    xa, xb = _coords(state, "a"), _coords(state, "b")
+    got = _value(xa, _field(MA / 2, xb, ka, wc1), MB / 2, xb, wc1)
+    oracle = _values(MA, MB, C, wc, ws, w, state["akind"], state["abloch"],
+                     state["bkind"], state["bbloch"])
+    assert np.max(np.abs(got - oracle)) <= 1e-12
+    for M, CC, K, other in ((MA, C, ka, "b"), (MB, C.T, kb, "a")):
+        x, best = _best_effects(_field(M / 2, _coords(state, other), K, wc1),
+                                allow_degenerate)
+        kind, bloch, oracle_best = seesaw_oracle._update_party(
+            M, CC, wc, ws, w, state[other + "kind"], state[other + "bloch"], allow_degenerate)
+        assert np.array_equal(x[..., 0], kind)
+        assert np.max(np.abs(x[..., 1:] - bloch)) <= 1e-12
+        assert np.max(np.abs(best - oracle_best)) <= 1e-12
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_schmidt_step_matches_oracle(degenerate):
+    # the free-state update, a Bell operator from the correlation tensor and
+    # SO(3) rotations, against the oracle's complex 2x2 effects.  The
+    # angle and the new state's value agree on every row; the Bloch vectors
+    # are unique, and compared, where the top eigenvalue is simple and the
+    # Schmidt coefficients differ and are nonzero
+    f = catalog_get("I4322_2").functional
+    MA, MB, C = _coefficient_arrays(f)
+    n = 90
+    rng = np.random.default_rng(23)
+    state = _random_rows(rng, n, MA.size, MB.size, degenerate)
+    MA = MA + rng.normal(size=(n, MA.size))
+    MB = MB + rng.normal(size=(n, MB.size))
+    theta, xa, xb = _schmidt_step(MA / 2, MB / 2, C, _coords(state, "a"), _coords(state, "b"))
+    kinds = state["akind"], state["bkind"]
+    o_theta, o_abloch, o_bbloch = seesaw_oracle._update_state(
+        MA, MB, C, kinds[0], state["abloch"], kinds[1], state["bbloch"])
+    assert np.max(np.abs(theta - o_theta)) <= 1e-12
+    assert np.array_equal(xa[..., 0], kinds[0]) and np.array_equal(xb[..., 0], kinds[1])
+
+    def value(t, ab, bb):
+        return _values(MA, MB, C, np.cos(2 * t), np.sin(2 * t), 1.0, kinds[0], ab, kinds[1], bb)
+
+    assert np.max(np.abs(value(theta, xa[..., 1:], xb[..., 1:])
+                         - value(o_theta, o_abloch, o_bbloch))) <= 1e-12
+    spectrum = np.linalg.eigvalsh(seesaw_oracle._bell_operator(
+        MA, MB, C, seesaw_oracle._effects(kinds[0], state["abloch"]),
+        seesaw_oracle._effects(kinds[1], state["bbloch"])))
+    unique = ((spectrum[:, -1] - spectrum[:, -2] > 1e-6)
+              & (o_theta > 1e-6) & (o_theta < math.pi / 4 - 1e-6))
+    assert unique.sum() >= 8  # 90 of 90 rank-1 rows, 10 of 90 with degenerate effects
+    assert np.max(np.abs(xa[unique, :, 1:] - o_abloch[unique])) <= 1e-12
+    assert np.max(np.abs(xb[unique, :, 1:] - o_bbloch[unique])) <= 1e-12
 
 
 def _check_values(f, state, w):

@@ -9,22 +9,24 @@ from bellscan.core import (
     BellFunctional,
     Scenario,
     StructuralError,
-    behavior_of_strategy,
     evaluate,
-    strategies,
 )
 from bellscan.polytope import facet_check
 from bellscan.symmetry import (
     Transformation,
-    all_transformations,
     apply_transformation,
     canonical_form,
     canonical_key,
     equivalent,
-    identity_transformation,
     random_transformation,
-    relabel_behavior,
     symmetric_representative,
+)
+from reference_walks import (
+    all_transformations,
+    behavior_of_strategy,
+    identity_transformation,
+    relabel_behavior,
+    strategies,
     transformation_count,
 )
 
