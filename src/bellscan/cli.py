@@ -88,7 +88,7 @@ def _add_input_flags(p: argparse.ArgumentParser):
 
 
 def _add_opt_flags(p: argparse.ArgumentParser, *, theta_default=None,
-                   restarts=False):
+                   restarts=False, csv=False):
     p.add_argument("--seed", type=int, default=0)
     if restarts:
         p.add_argument("--restarts", type=int, default=50)
@@ -97,7 +97,8 @@ def _add_opt_flags(p: argparse.ArgumentParser, *, theta_default=None,
                        help="Schmidt angle as a fraction of pi ('free' where supported)")
         p.add_argument("--degenerate", action="store_true",
                        help="allow identity/zero measurement effects")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", default="text",
+                   choices=("text", "json", "csv") if csv else ("text", "json"))
 
 
 def _parse_theta(value, *, allow_free=False) -> float | None:
@@ -276,6 +277,8 @@ def _cmd_eta_asym(args) -> int:
                       "(trend only, not an exact limit)")
         return EXIT_OK if finite else EXIT_NONE
 
+    if args.format == "csv":
+        raise _UsageError("--format csv needs --sweep")
     theta = _parse_theta(_DEFAULT_THETA if args.theta is None else args.theta)
     res = eta_threshold_asymmetric(f, theta, seed=args.seed,
                                    restarts=args.inner_restarts,
@@ -321,7 +324,7 @@ def _cmd_search(args) -> int:
 def _cmd_table1(args) -> int:
     names = args.only or None
     rows = compute_table(names, seed=args.seed, restarts=args.restarts,
-                         eta_restarts=args.inner_restarts, jobs=args.jobs)
+                         jobs=args.jobs)
     if args.format == "json":
         print(json.dumps([
             {"name": r.name, "violation": r.violation,
@@ -329,8 +332,7 @@ def _cmd_table1(args) -> int:
              "w": r.w, "eta": r.eta_symmetric}
             for r in rows], indent=2))
     else:
-        fmt = "csv" if args.format == "csv" else "text"
-        sys.stdout.write(format_table(rows, fmt))
+        sys.stdout.write(format_table(rows, args.format))
     return EXIT_OK
 
 
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
              "one-sided detection-efficiency threshold (eta_A = 1)")):
         p = sub.add_parser(cmd, help=help_text)
         _add_input_flags(p)
-        _add_opt_flags(p, theta_default=_DEFAULT_THETA)
+        _add_opt_flags(p, theta_default=_DEFAULT_THETA, csv=cmd == "eta-asym")
         p.add_argument("--inner-restarts", type=int, default=8,
                        help=_INNER_RESTARTS_HELP)
         if cmd == "eta-asym":
@@ -405,13 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("table1", help="full benchmark table over the catalog")
-    _add_opt_flags(p, restarts=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--inner-restarts", type=int, default=8,
-                   help="see-saw restarts per no-click assignment in the eta "
-                        "bisection of the degenerate-measurement row "
-                        "(I4422_4); every other row takes eta from its "
-                        "--restarts see-saw at theta/pi = 0.25")
+    _add_opt_flags(p, restarts=True, csv=True)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1 (at most one per row)")
     p.add_argument("--only", action="append",
                    help="restrict to specific catalog entries (repeatable)")
     p.set_defaults(func=_cmd_table1)

@@ -11,7 +11,8 @@ threshold is the closed form w* = (bound - N) / (Q(theta) - N).  With
 degenerate measurements allowed the noise term depends on the chosen
 effects, so the threshold is found by bisection, re-optimizing the
 measurements at each visibility (the optimized value is convex in w, so
-the violating set is an interval ending at w = 1).
+the violating set is an interval ending at w = 1).  The bisection's own
+step at w = 1 decides whether the state violates at all.
 
 Detection model: each party holds a deterministic no-click assignment
 (bit 1 = output "0" on non-detection).  The detected behavior is an affine
@@ -156,20 +157,19 @@ def noise_threshold(f: BellFunctional, theta: float, *,
     """
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
-    best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=theta,
-                           allow_degenerate=allow_degenerate)
     if not allow_degenerate:
+        best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=theta)
         w = _visibility_threshold(f, best.value)
         if w is None:
             return None
         return NoiseResult(w_threshold=w, theta=theta, model=best.model)
-    bound = float(f.bound)
-    if best.value <= bound + _VIOLATION_MARGIN:
-        return None
+    if restarts < 1:
+        raise StructuralError("restarts must be >= 1")
 
     # identity effects make the noise term measurement-dependent: bisect,
     # re-optimizing at each visibility with detectors that always click
     MA, MB, C = _coefficient_arrays(f)
+    bound = float(f.bound)
     sa, sb = np.zeros((1, MA.size)), np.zeros((1, MB.size))
     rng = np.random.default_rng(seed)
 
@@ -180,7 +180,10 @@ def noise_threshold(f: BellFunctional, theta: float, *,
             target=bound + _VIOLATION_MARGIN, w=w)
         return value > bound + _VIOLATION_MARGIN, model
 
-    w, model = _bisect_threshold(violated_at, best.model)
+    violated, model = violated_at(1.0)
+    if not violated:
+        return None
+    w, model = _bisect_threshold(violated_at, model)
     return NoiseResult(w_threshold=w, theta=theta, model=model)
 
 
@@ -339,11 +342,10 @@ def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
     no-click strategies; None when there is no violation at eta = 1.
 
     At theta = pi/4 with rank-1 effects the threshold is a closed form over
-    one see-saw at fixed theta (`restarts` restarts); otherwise it is
-    bisected."""
+    one see-saw at fixed theta (`restarts` restarts, default sweep cap);
+    otherwise it is bisected."""
     if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
-        best = seesaw_maximize(f, restarts=restarts, seed=seed,
-                               theta=math.pi / 4, max_sweeps=_ETA_SWEEPS)
+        best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
         return _eta_at_maximal_entanglement(f, best)
     return _eta_threshold(f, theta, True, seed=seed, restarts=restarts,
                           allow_degenerate=allow_degenerate)

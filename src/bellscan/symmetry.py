@@ -67,13 +67,12 @@ class Transformation:
             raise StructuralError("party swap requires m_a == m_b")
 
 
-def random_transformation(s: Scenario, rng: random.Random,
-                          allow_swap: bool = True) -> Transformation:
+def random_transformation(s: Scenario, rng: random.Random) -> Transformation:
     aperm = list(range(s.m_a))
     bperm = list(range(s.m_b))
     rng.shuffle(aperm)
     rng.shuffle(bperm)
-    swap = allow_swap and s.m_a == s.m_b and rng.random() < 0.5
+    swap = s.m_a == s.m_b and rng.random() < 0.5
     return Transformation(
         tuple(aperm), tuple(bperm),
         tuple(rng.randrange(2) for _ in range(s.m_a)),

@@ -11,7 +11,7 @@ other row uses rank-1 projectors throughout.
 A rank-1 row runs two see-saws: the free one gives the violation, the
 angle and w_max; the one at theta = pi/4 gives both w and eta through the
 closed forms in `robustness`.  Only the degenerate row bisects (twice for
-the visibilities, once for eta with `eta_restarts` restarts).
+the visibilities, once for eta at `eta_threshold_symmetric`'s defaults).
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ def _row_seed(seed: int, index: int) -> int:
     return (seed * 1000003 + index * 7919 + 17) & 0x7FFFFFFF
 
 
-def compute_row(name: str, *, seed: int = 0, restarts: int = 50,
-                eta_restarts: int = 8) -> ReportRow:
+def compute_row(name: str, *, seed: int = 0, restarts: int = 50) -> ReportRow:
     entry = catalog_get(name)
     f = entry.functional
     degenerate = name in DEGENERATE_ROWS
@@ -72,7 +71,6 @@ def compute_row(name: str, *, seed: int = 0, restarts: int = 50,
         w_max = w_max_res.w_threshold if w_max_res else None
         w = w_res.w_threshold if w_res else None
         eta_res = eta_threshold_symmetric(f, math.pi / 4, seed=seed,
-                                          restarts=eta_restarts,
                                           allow_degenerate=True)
     else:
         flat = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
@@ -89,28 +87,28 @@ def _worker(args) -> ReportRow:
 
 
 def compute_table(names=None, *, seed: int = 0, restarts: int = 50,
-                  eta_restarts: int = 8, jobs: int = 1) -> list[ReportRow]:
+                  jobs: int = 1) -> list[ReportRow]:
     """Rows in catalog order; per-row seeds derive from (seed, catalog index)
-    so the output is independent of the worker count."""
+    so the output is independent of the worker count (at most one per row)."""
     if names is None:
         names = PRIMARY_NAMES
     unknown = [n for n in names if n not in PRIMARY_NAMES]
     if unknown:
         raise StructuralError(f"not primary catalog entries: {unknown}")
-    # checked here, not per row: only the degenerate row reads eta_restarts
     if restarts < 1:
         raise StructuralError("restarts must be >= 1")
-    if eta_restarts < 1:
-        raise StructuralError("eta_restarts must be >= 1")
+    if jobs < 1:
+        raise StructuralError("jobs must be >= 1")
     ordered = [n for n in PRIMARY_NAMES if n in set(names)]
     tasks = [
         (name, dict(seed=_row_seed(seed, PRIMARY_NAMES.index(name)),
-                    restarts=restarts, eta_restarts=eta_restarts))
+                    restarts=restarts))
         for name in ordered
     ]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, tasks))
 
 

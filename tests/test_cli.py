@@ -138,11 +138,27 @@ def test_flags_only_on_subcommands_that_read_them(capsys):
                  ["noise", "--name", "CHSH", "--tol", "1e-8"],
                  ["eta", "--name", "CHSH", "--tol", "1e-8"],
                  ["eta-asym", "--name", "CHSH", "--tol", "1e-8"],
-                 ["table1", "--only", "CHSH", "--tol", "1e-8"]):
+                 ["table1", "--only", "CHSH", "--tol", "1e-8"],
+                 ["table1", "--only", "CHSH", "--inner-restarts", "4"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_csv_only_where_a_csv_is_written(capsys):
+    # qmax, noise and eta print text or json only
+    for cmd in ("qmax", "noise", "eta"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--name", "CHSH", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+    # eta-asym writes a CSV for --sweep only
+    code, out, err = run_cli(capsys, "eta-asym", "--name", "CHSH",
+                             "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "--format csv needs --sweep" in err
 
 
 def test_eta_command(capsys):
@@ -239,12 +255,18 @@ def test_table1_row_matches_reference(capsys):
 
 
 def test_table1_with_no_restarts_is_usage_error(capsys):
-    # CHSH is a rank-1 row, which never reads --inner-restarts
-    for flag in ("--restarts", "--inner-restarts"):
-        code, out, err = run_cli(capsys, "table1", "--only", "CHSH", flag, "0")
+    code, out, err = run_cli(capsys, "table1", "--only", "CHSH", "--restarts", "0")
+    assert code == 2
+    assert out == ""
+    assert "restarts must be >= 1" in err
+
+
+def test_table1_with_no_jobs_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "table1", "--only", "CHSH", "--jobs", jobs)
         assert code == 2
         assert out == ""
-        assert "restarts must be >= 1" in err
+        assert "jobs must be >= 1" in err
 
 
 def test_table1_deterministic_across_runs_and_jobs(capsys):

@@ -82,21 +82,29 @@ def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
 
 
 def bisected_noise_w(f, theta, *, seed, restarts):
-    """Oracle: the degenerate visibility threshold bisected with every
-    see-saw run to convergence or to its cap; returns (w, total sweeps)."""
+    """Oracle: the degenerate visibility threshold, decided at w = 1 and then
+    bisected, with every see-saw run to convergence or to its cap and one rng
+    for all steps; returns (w or None, total sweeps)."""
     MA, MB, C = _coefficient_arrays(f)
     n = restarts
     rng = np.random.default_rng(seed)
-    lo, hi = 0.0, 1.0
     sweeps = 0
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
+
+    def violated_at(w):
+        nonlocal sweeps
         state = _seesaw_batch(
             np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
-            theta=np.full(n, theta), free_theta=False, w=mid,
+            theta=np.full(n, theta), free_theta=False, w=w,
             allow_degenerate=True, rng=rng)
         sweeps += state["sweeps"]
-        if state["values"].max() > float(f.bound) + 1e-9:
+        return state["values"].max() > float(f.bound) + 1e-9
+
+    if not violated_at(1.0):
+        return None, sweeps
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        if violated_at(mid):
             hi = mid
         else:
             lo = mid
@@ -123,6 +131,9 @@ def test_noise_threshold_none_when_no_violation():
     chsh = catalog_get("CHSH").functional
     relaxed = BellFunctional.build(chsh.alice_marg, chsh.bob_marg, chsh.corr, 1)
     assert noise_threshold(relaxed, math.pi / 4, seed=1) is None
+    # the degenerate path decides w = 1 with its own first bisection step
+    assert noise_threshold(relaxed, math.pi / 4, allow_degenerate=True,
+                           restarts=3, seed=1) is None
 
 
 def test_noise_threshold_rejects_bad_theta():
@@ -239,11 +250,41 @@ def test_table_row_reads_w_and_eta_from_one_optimum_at_pi_over_4(name, monkeypat
 def test_table_degenerate_row_bisects(monkeypatch):
     # I4422_4 needs identity/zero effects, where no closed form holds
     calls = _count_table_calls(monkeypatch)
-    row = table.compute_row("I4422_4", seed=0, restarts=8, eta_restarts=2)
+    row = table.compute_row("I4422_4", seed=0, restarts=8)
     assert [theta for theta, _ in calls["seesaw"]] == [None]
     assert calls["noise_threshold"] == 2
     assert calls["eta_threshold_symmetric"] == 1
     assert row.w is not None and row.eta_symmetric is not None
+
+
+def test_table_starts_at_most_one_worker_per_row(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # worker process is ever started here
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(table, "ProcessPoolExecutor", RecordingPool)
+    names = ["CHSH", "I3322"]
+    serial = table.compute_table(names, seed=2, restarts=4)
+    assert table.compute_table(names, seed=2, restarts=4, jobs=5000) == serial
+    assert started == [2]
+    assert table.compute_table(["CHSH"], seed=2, restarts=4, jobs=3) == serial[:1]
+    for jobs in (0, -1):
+        with pytest.raises(StructuralError, match="jobs must be >= 1"):
+            table.compute_table(names, jobs=jobs)
+    assert started == [2]
 
 
 def test_degenerate_noise_threshold_decides_like_full_bisection(sweep_log):
@@ -285,10 +326,14 @@ def test_detected_max_target_keeps_the_decision(sweep_log):
 
 
 def test_bisected_eta_rejects_restarts_below_one():
-    # off the pi/4 closed form both thresholds bisect; an empty or negative
-    # batch must be a structural error, not a numpy reshape failure
+    # off the pi/4 closed form both eta thresholds bisect, and so does the
+    # degenerate noise threshold; an empty or negative batch must be a
+    # structural error, not a numpy reshape failure
     chsh = catalog_get("CHSH").functional
     for restarts in (0, -2):
+        with pytest.raises(StructuralError, match="restarts must be >= 1"):
+            noise_threshold(chsh, math.pi / 4, allow_degenerate=True,
+                            restarts=restarts)
         with pytest.raises(StructuralError, match="restarts must be >= 1"):
             eta_threshold_asymmetric(chsh, restarts=restarts)
         with pytest.raises(StructuralError, match="restarts must be >= 1"):
