@@ -222,7 +222,8 @@ def _cmd_noise(args) -> int:
         _emit({"name": name, "w_threshold": None}, args, ["none"])
         return EXIT_NONE
     _emit({"name": name, "w_threshold": res.w_threshold,
-           "theta_over_pi": theta / math.pi}, args,
+           "theta_over_pi": theta / math.pi, "batches": res.batches,
+           "row_sweeps": res.row_sweeps}, args,
           [f"{res.w_threshold:.4f}"])
     return EXIT_OK
 
@@ -237,7 +238,8 @@ def _cmd_eta(args) -> int:
         _emit({"name": name, "eta": None}, args, ["none"])
         return EXIT_NONE
     _emit({"name": name, "eta": res.eta, "noclick_a": list(res.noclick_a),
-           "noclick_b": list(res.noclick_b)}, args, [f"{res.eta:.4f}"])
+           "noclick_b": list(res.noclick_b), "batches": res.batches,
+           "row_sweeps": res.row_sweeps}, args, [f"{res.eta:.4f}"])
     return EXIT_OK
 
 
@@ -286,7 +288,8 @@ def _cmd_eta_asym(args) -> int:
     if res is None:
         _emit({"name": name, "eta_b": None}, args, ["none"])
         return EXIT_NONE
-    _emit({"name": name, "eta_b": res.eta, "noclick_b": list(res.noclick_b)},
+    _emit({"name": name, "eta_b": res.eta, "noclick_b": list(res.noclick_b),
+           "batches": res.batches, "row_sweeps": res.row_sweeps},
           args, [f"{res.eta:.4f}"])
     return EXIT_OK
 

@@ -34,8 +34,14 @@ batch size.  A row stops after the first sweep that moves its value by
 less than 1e-10 (_TOL), so its trajectory does not depend on its batch.
 At fixed theta a sweep's value is Alice's marginal term plus the sum of
 Bob's per-setting block maxima.  A decision call ("does some row beat this
-target?") stops after the first sweep in which a row exceeds the target;
-monotone ascent means a full run would give the same answer.
+target?") stops after the first sweep in which a row exceeds the target.
+It also stops a row once the row could not reach the target even if it
+gained _REACH times its last gain in every sweep left under the cap.  A
+"no" batch therefore ends with its last row that might still reach the
+target, not at the cap.  Each row's value is its full run's at its own
+sweep count, and it can only rise, so a row above the target is above it
+in the full run too.  A row stopped by the reach rule might still have
+crossed the target; that part is a heuristic, not a proof.
 """
 
 from __future__ import annotations
@@ -72,6 +78,9 @@ _PAULI = np.array([
 # row 4i + j holds sigma_i (x) sigma_j, flattened: the Bell operator is T.ravel() @ it
 _PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", _PAULI, _PAULI).reshape(16, 16)
 _TOL = 1e-10  # a sweep that moves a row's value by less ends that row
+# a decision row stops once even this many times its last gain, for every
+# sweep left under the cap, would leave it below the target
+_REACH = 10.0
 
 
 @dataclass(frozen=True)
@@ -264,7 +273,10 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
     and so is theta at fixed theta.  A row freezes after the first sweep
     that moves its value by less than _TOL, so its trajectory does not
     depend on the other rows.  A target (scalar or per row) ends the run
-    after the first sweep in which some row's value exceeds it.
+    after the first sweep in which some row's value exceeds it.  With a
+    target, a row also leaves once value + _REACH * max(gain, 0) * (sweeps
+    left) stays below its target.  Such a row keeps its value, which equals
+    its full run's value at that sweep count; it is not marked converged.
     """
     C = np.ascontiguousarray(C, dtype=float)
     MA, MB = (np.asarray(M, dtype=float) / 2.0 for M in (MA, MB))  # halved from here on
@@ -287,6 +299,7 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
     out = {"values": values, "theta": theta, "xa": xa, "xb": xb,
            "row_sweeps": np.zeros(n, dtype=np.int64), "converged": np.zeros(n, dtype=bool)}
     history = [values.copy()] if record else None
+    decide = target is not None
     target = np.broadcast_to(np.inf if target is None else target, (n,))
     live = np.arange(n)  # the arrays below hold the live rows only
     sweeps = 0
@@ -301,10 +314,17 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
         else:
             fa = _field(MA, xb, ka, wc)
             new_values = _marginal(MA, xa, wc) + b_best.sum(axis=1)
-        done = np.abs(new_values - values) < _TOL
+        gain = new_values - values
+        done = np.abs(gain) < _TOL
         values = new_values
         stop = sweeps == max_sweeps or bool((values > target).any())
-        leave = np.ones_like(done) if stop else done
+        if stop:
+            leave = np.ones_like(done)
+        elif decide:
+            reach = _REACH * np.maximum(gain, 0.0) * (max_sweeps - sweeps)
+            leave = done | (values + reach < target)
+        else:
+            leave = done
         if leave.any():
             rows = live[leave]
             for key, arr in zip(out, (values, theta, xa, xb)):

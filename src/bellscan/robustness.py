@@ -41,12 +41,18 @@ inner maximization runs one batched see-saw over all no-click
 assignments times restarts, warm started from the previous bisection
 step.  Every bisection stops at width 1e-5.  A bisection step only asks
 whether some measurement choice beats the bound plus the margin, so its
-see-saw stops after the first sweep in which a row does; every see-saw
-step is an exact block maximum, so that row's value can only rise and a
-full run would give the same answer.  In a step that finds no violation
-each row stops once its own value has converged, or at 300 sweeps for
-detection (500 for noise), and converged rows cost nothing while the
-others run on.
+see-saw stops after the first sweep in which a row does.  Every see-saw
+step is an exact block maximum, so that row's value can only rise, and a
+full run would say "yes" too.  Each row stops when its own value has
+converged, or at 300 sweeps for detection (500 for noise).  It also stops
+once it could not reach the target even at ten times its last gain per
+sweep up to the cap (quantum._REACH).  Stopped rows cost nothing while the
+others run on.  So a step that finds no violation ends with its last row
+that could still find one.  That a full run would also say "no" is
+measured, not proven: on the benchmark's off-centre calls at seeds 1-30,
+every threshold equals that of runs stopped only by convergence or the
+cap.  Each result counts its see-saw batches and their row-sweeps
+(`batches`, `row_sweeps`); a closed form runs one batch.
 """
 
 from __future__ import annotations
@@ -90,6 +96,8 @@ class NoiseResult:
     w_threshold: float
     theta: float
     model: QubitModel
+    batches: int      # see-saw batches run, the closed form's one included
+    row_sweeps: int   # their sweeps summed over rows
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,8 @@ class DetectionResult:
     model: QubitModel
     noclick_a: tuple[int, ...]
     noclick_b: tuple[int, ...]
+    batches: int      # see-saw batches run, the closed form's one included
+    row_sweeps: int   # their sweeps summed over rows
 
 
 def noise_floor(f: BellFunctional) -> Fraction:
@@ -134,18 +144,24 @@ def _visibility_threshold(f: BellFunctional, value: float) -> float | None:
     return (bound - floor) / (value - floor)
 
 
-def _bisect_threshold(violated_at, info):
-    """Bisect for the smallest p in (0, 1] with violated_at(p) -> (True, info);
-    `info` belongs to p = 1 and is returned if no smaller p violates."""
-    lo, hi = 0.0, 1.0
+def _bisect_threshold(violated_at):
+    """Bisect for the smallest p in (0, 1] with violated_at(p) -> (True, info,
+    row_sweeps), one see-saw batch per call.  Returns None when p = 1 does
+    not violate, else (p, its info, batches, row_sweeps summed)."""
+    violated, info, row_sweeps = violated_at(1.0)
+    if not violated:
+        return None
+    lo, hi, batches = 0.0, 1.0, 1
     while hi - lo > _BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        violated, res = violated_at(mid)
+        violated, res, sweeps = violated_at(mid)
+        batches += 1
+        row_sweeps += sweeps
         if violated:
             hi, info = mid, res
         else:
             lo = mid
-    return hi, info
+    return hi, info, batches, row_sweeps
 
 
 def noise_threshold(f: BellFunctional, theta: float, *,
@@ -162,7 +178,8 @@ def noise_threshold(f: BellFunctional, theta: float, *,
         w = _visibility_threshold(f, best.value)
         if w is None:
             return None
-        return NoiseResult(w_threshold=w, theta=theta, model=best.model)
+        return NoiseResult(w_threshold=w, theta=theta, model=best.model,
+                           batches=1, row_sweeps=best.row_sweeps)
     if restarts < 1:
         raise StructuralError("restarts must be >= 1")
 
@@ -174,17 +191,18 @@ def noise_threshold(f: BellFunctional, theta: float, *,
     rng = np.random.default_rng(seed)
 
     def violated_at(w: float):
-        value, _, model, _ = _detected_max(
+        value, _, model, _, row_sweeps = _detected_max(
             MA, MB, C, theta, 1.0, 1.0, sa, sb, rng=rng, restarts=restarts,
             warm=None, allow_degenerate=True, max_sweeps=500,
             target=bound + _VIOLATION_MARGIN, w=w)
-        return value > bound + _VIOLATION_MARGIN, model
+        return value > bound + _VIOLATION_MARGIN, model, row_sweeps
 
-    violated, model = violated_at(1.0)
-    if not violated:
+    found = _bisect_threshold(violated_at)
+    if found is None:
         return None
-    w, model = _bisect_threshold(violated_at, model)
-    return NoiseResult(w_threshold=w, theta=theta, model=model)
+    w, model, batches, row_sweeps = found
+    return NoiseResult(w_threshold=w, theta=theta, model=model,
+                       batches=batches, row_sweeps=row_sweeps)
 
 
 def detected_behavior(p: Behavior, d: DetectionModel) -> Behavior:
@@ -228,7 +246,8 @@ def _effective_tables(MA, MB, C, eta_a, eta_b, sa, sb):
 
 def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
                   warm, allow_degenerate, max_sweeps, target=None, w=1.0):
-    """Max of I at visibility w over measurements and no-click assignments.
+    """Max of I at visibility w over measurements and no-click assignments:
+    (value, assignment, model, warm start for the next call, row-sweeps).
 
     With a target the see-saw stops once some detected value exceeds it."""
     n = sa.shape[0]
@@ -254,7 +273,7 @@ def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
     best_assign = int(totals.max(axis=1).argmax())
     best_row = best_assign * r + int(best_r[best_assign])
     return (float(totals[best_assign, best_r[best_assign]]), best_assign,
-            _model_from_row(state, best_row), warm_out)
+            _model_from_row(state, best_row), warm_out, int(state["row_sweeps"].sum()))
 
 
 def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
@@ -281,21 +300,22 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
     def violated_at(eta):
         nonlocal warm
         ea, eb = (eta, eta) if symmetric else (1.0, eta)
-        value, assign, model, warm = _detected_max(
+        value, assign, model, warm, row_sweeps = _detected_max(
             MA, MB, C, theta, ea, eb, sa, sb, rng=rng, restarts=restarts,
             warm=warm, allow_degenerate=allow_degenerate,
             max_sweeps=_ETA_SWEEPS, target=bound + _VIOLATION_MARGIN)
-        return value > bound + _VIOLATION_MARGIN, (assign, model)
+        return value > bound + _VIOLATION_MARGIN, (assign, model), row_sweeps
 
-    violated, info = violated_at(1.0)
-    if not violated:
+    found = _bisect_threshold(violated_at)
+    if found is None:
         return None
-    eta, (assign, model) = _bisect_threshold(violated_at, info)
+    eta, (assign, model), batches, row_sweeps = found
     noclick_a = tuple(int(v) for v in sa[assign])
     noclick_b = tuple(int(v) for v in sb[assign])
     ea, eb = (eta, eta) if symmetric else (1.0, eta)
     return DetectionResult(eta=eta, eta_a=ea, eta_b=eb, model=model,
-                           noclick_a=noclick_a, noclick_b=noclick_b)
+                           noclick_a=noclick_a, noclick_b=noclick_b,
+                           batches=batches, row_sweeps=row_sweeps)
 
 
 def _eta_at_maximal_entanglement(f: BellFunctional,
@@ -332,7 +352,8 @@ def _eta_at_maximal_entanglement(f: BellFunctional,
     eta = min(float(roots[assign]), 1.0)
     return DetectionResult(eta=eta, eta_a=eta, eta_b=eta, model=best.model,
                            noclick_a=tuple(int(v) for v in sa[assign]),
-                           noclick_b=tuple(int(v) for v in sb[assign]))
+                           noclick_b=tuple(int(v) for v in sb[assign]),
+                           batches=1, row_sweeps=best.row_sweeps)
 
 
 def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,6 +7,7 @@ from bellscan.catalog import catalog_get
 from bellscan.cli import main
 from bellscan.core import parse_functional, serialize_functional
 from bellscan.quantum import seesaw_maximize
+from bellscan.robustness import eta_threshold_asymmetric
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +167,26 @@ def test_eta_command(capsys):
     code, out, _ = run_cli(capsys, "eta", "--name", "CHSH", "--seed", "1")
     assert code == 0
     assert out.strip().startswith("0.8284")
+
+
+def test_threshold_json_reports_work(capsys):
+    # a closed form runs one see-saw; a bisection runs one per step, the
+    # step at efficiency 1 and 17 halvings to width 1e-5
+    for argv, batches in ((["noise", "--name", "CHSH", "--theta", "0.25"], 1),
+                          (["eta", "--name", "CHSH"], 1),
+                          (["noise", "--name", "CHSH", "--theta", "0.2",
+                            "--degenerate", "--restarts", "2"], 18),
+                          (["eta-asym", "--name", "CHSH", "--theta", "0.2",
+                            "--inner-restarts", "2"], 18)):
+        code, out, _ = run_cli(capsys, *argv, "--seed", "1", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["batches"] == batches
+        assert payload["row_sweeps"] >= batches
+    # the counters are the result's own
+    res = eta_threshold_asymmetric(catalog_get("CHSH").functional, 0.2 * math.pi,
+                                   seed=1, restarts=2)
+    assert (payload["batches"], payload["row_sweeps"]) == (res.batches, res.row_sweeps)
 
 
 def test_bisected_eta_with_no_restarts_is_usage_error(capsys):

@@ -14,6 +14,7 @@ from bellscan.quantum import (
     QubitModel,
     _ID,
     _PROJ,
+    _REACH,
     _ZERO,
     _best_effects,
     _coefficient_arrays,
@@ -169,10 +170,30 @@ DECISION_CASES = (("I4322_2", 0.3, 1.0, False), ("I4422_4", 0.6, 0.7, True),
                   ("I3322", math.pi / 4, 1.0, False))
 
 
+def _decision_batch(name, theta, w, allow_degenerate, target):
+    """A decision run checked against the full run of the same rows: each
+    row returns its own full-run value at its own sweep count, the decision
+    is the full run's, and a row that left early without the batch ending
+    on a crossing met the reach rule.  Returns the decision state."""
+    full, history = _fixed_batch(name, theta, w, allow_degenerate)
+    state, _ = _fixed_batch(name, theta, w, allow_degenerate, target=target)
+    rows, own = np.arange(len(history)), state["row_sweeps"]
+    assert np.array_equal(state["values"], history[rows, own])
+    assert np.all(own <= full["row_sweeps"])
+    assert np.array_equal(state["converged"], full["converged"] & (own == full["row_sweeps"]))
+    crossed = bool(np.any(state["values"] > target))
+    assert crossed == bool(np.any(full["values"] > target))
+    early = (own < full["row_sweeps"]) & ((own < state["sweeps"]) | (not crossed))
+    value, gain = history[rows, own], history[rows, own] - history[rows, own - 1]
+    reach = _REACH * np.maximum(gain, 0.0) * (500 - own)  # 500: the default cap
+    assert np.all((value + reach < target)[early])
+    return state
+
+
 @pytest.mark.parametrize("name,theta,w,allow_degenerate", DECISION_CASES)
 def test_target_stops_at_first_sweep_above_it(name, theta, w, allow_degenerate):
-    # a decision run is the full run cut after the first sweep in which a
-    # row beats the target, scalar or per row
+    # a target the full run crosses first at sweep k <= 2, scalar or per row
+    # (+inf elsewhere), ends the batch after that sweep
     _, history = _fixed_batch(name, theta, w, allow_degenerate)
     best = history.max(axis=0)
     k = 2
@@ -184,22 +205,22 @@ def test_target_stops_at_first_sweep_above_it(name, theta, w, allow_degenerate):
         above = (history[:, 1:] > np.reshape(target, (-1, 1))).any(axis=0)
         stop = 1 + int(np.argmax(above))
         assert stop <= k
-        state, _ = _fixed_batch(name, theta, w, allow_degenerate, target=target)
+        state = _decision_batch(name, theta, w, allow_degenerate, target)
         assert state["sweeps"] == stop
         assert np.any(state["values"] > target)
-        assert np.array_equal(state["values"], history[:, stop])
 
 
 @pytest.mark.parametrize("name,theta,w,allow_degenerate", DECISION_CASES)
-def test_unreachable_target_changes_nothing(name, theta, w, allow_degenerate):
-    full, history = _fixed_batch(name, theta, w, allow_degenerate)
+def test_unreachable_target_stops_rows_early(name, theta, w, allow_degenerate):
+    # no row reaches the target: the answer is the full run's "no", for fewer
+    # row-sweeps, both just above the full run's best and far above it
+    full, _ = _fixed_batch(name, theta, w, allow_degenerate)
     ceiling = sum(np.abs(a).sum()
                   for a in _coefficient_arrays(catalog_get(name).functional))
-    state, cut = _fixed_batch(name, theta, w, allow_degenerate, target=ceiling)
-    assert state["sweeps"] == full["sweeps"]
-    for key in ("values", "theta", "akind", "abloch", "bkind", "bbloch"):
-        assert np.array_equal(state[key], full[key]), key
-    assert np.array_equal(cut, history)
+    for target in (full["values"].max() + 1e-3, ceiling):
+        state = _decision_batch(name, theta, w, allow_degenerate, target)
+        assert not np.any(state["values"] > target)
+        assert state["row_sweeps"].sum() < full["row_sweeps"].sum()
 
 
 def test_result_reports_sweeps():

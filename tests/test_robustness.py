@@ -8,7 +8,7 @@ import pytest
 from bellscan import table
 from bellscan.catalog import catalog_get
 from bellscan.core import BellFunctional, StructuralError, evaluate
-from bellscan import robustness
+from bellscan import quantum, robustness
 from bellscan.quantum import (
     _coefficient_arrays,
     _seesaw_batch,
@@ -70,7 +70,7 @@ def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
     lo, hi = 0.0, 1.0
     while hi - lo > eta_tol:
         mid = 0.5 * (lo + hi)
-        value, _, _, warm = _detected_max(
+        value, _, _, warm, _ = _detected_max(
             MA, MB, C, math.pi / 4, mid, mid, bits[:, :ma], bits[:, ma:],
             rng=rng, restarts=restarts, warm=warm, allow_degenerate=False,
             max_sweeps=300)
@@ -302,27 +302,50 @@ def test_degenerate_noise_threshold_decides_like_full_bisection(sweep_log):
         assert float(noisy_value(f, r.model, w)) > float(f.bound)
 
 
-def test_detected_max_target_keeps_the_decision(sweep_log):
+def test_detected_max_target_keeps_the_decision():
     # the per-row see-saw target is the detected target minus each row's
-    # no-click constant: a decision run stops early above the target, and an
-    # unreachable target reproduces the full run
+    # no-click constant: a reachable target is crossed early, and one above
+    # the full run's best gives its "no" for fewer row-sweeps
     f = catalog_get("I3322").functional
     MA, MB, C = _coefficient_arrays(f)
     sb = _assignment_bits(8, 3)
     sa = np.zeros((8, 3))
 
     def detected(target):
-        return _detected_max(MA, MB, C, 0.05 * math.pi, 1.0, 0.5, sa, sb,
-                             rng=np.random.default_rng(4), restarts=3, warm=None,
-                             allow_degenerate=False, max_sweeps=300,
-                             target=target)
+        value, _, _, _, row_sweeps = _detected_max(
+            MA, MB, C, 0.05 * math.pi, 1.0, 0.5, sa, sb,
+            rng=np.random.default_rng(4), restarts=3, warm=None,
+            allow_degenerate=False, max_sweeps=300, target=target)
+        return value, row_sweeps
 
-    full, _, _, _ = detected(None)
-    early, _, _, _ = detected(full - 1e-3)
+    full, full_work = detected(None)
+    early, work = detected(full - 1e-3)
     assert full - 1e-3 < early <= full + 1e-12
-    assert sweep_log[1] < sweep_log[0]
-    same, _, _, _ = detected(full + 1.0)
-    assert same == full and sweep_log[2] == sweep_log[0]
+    assert work < full_work
+    for target in (full + 1e-3, full + 1.0):
+        below, work = detected(target)
+        assert below <= full + 1e-12
+        assert work < full_work
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reach_rule_keeps_thresholds(monkeypatch, seed):
+    # oracle: a finite reach factor that no row falls short of switches the
+    # rule off, so decision rows stop only on _TOL, the cap or a crossing;
+    # the rule must find the same thresholds for fewer row-sweeps
+    def thresholds():
+        return (eta_threshold_asymmetric(catalog_get("I3322").functional,
+                                         0.05 * math.pi, seed=seed, restarts=3),
+                noise_threshold(catalog_get("I4422_4").functional, 0.2 * math.pi,
+                                allow_degenerate=True, restarts=3, seed=seed))
+
+    eta, w = thresholds()
+    monkeypatch.setattr(quantum, "_REACH", 1e300)
+    eta_off, w_off = thresholds()
+    assert eta.eta == eta_off.eta and w.w_threshold == w_off.w_threshold
+    assert eta.batches == eta_off.batches and w.batches == w_off.batches
+    assert eta.row_sweeps < eta_off.row_sweeps
+    assert w.row_sweeps < w_off.row_sweeps
 
 
 def test_bisected_eta_rejects_restarts_below_one():
