@@ -6,7 +6,6 @@ from .core import (
     BellError,
     BellFunctional,
     CapacityError,
-    DeterministicStrategy,
     FunctionalParseError,
     Scenario,
     StructuralError,

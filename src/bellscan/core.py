@@ -30,10 +30,8 @@ __all__ = [
     "FunctionalParseError",
     "Scenario",
     "BellFunctional",
-    "DeterministicStrategy",
     "Behavior",
     "evaluate",
-    "strategy_from_index",
     "lift",
     "parse_functional",
     "serialize_functional",
@@ -84,10 +82,6 @@ class Scenario:
         if self.m_a < 1 or self.m_b < 1:
             raise StructuralError(f"setting counts must be >= 1, got {self}")
 
-    @property
-    def num_strategies(self) -> int:
-        return 1 << (self.m_a + self.m_b)
-
 
 @dataclass(frozen=True)
 class BellFunctional:
@@ -121,20 +115,6 @@ class BellFunctional:
         scenario = Scenario(len(alice_marg), len(bob_marg))
         return cls(scenario, tuple(alice_marg), tuple(bob_marg),
                    tuple(tuple(row) for row in corr), Fraction(bound))
-
-
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Local deterministic strategy; bit 1 means the party outputs "0" for that setting."""
-
-    s_a: tuple[int, ...]
-    s_b: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "s_a", tuple(self.s_a))
-        object.__setattr__(self, "s_b", tuple(self.s_b))
-        if not all(v in (0, 1) for v in self.s_a + self.s_b):
-            raise StructuralError("strategy entries must be bits")
 
 
 @dataclass(frozen=True)
@@ -186,16 +166,6 @@ def evaluate(f: BellFunctional, p: Behavior):
         for y in range(mb):
             total += row[y] * prow[y]
     return total
-
-
-def strategy_from_index(scenario: Scenario, index: int) -> DeterministicStrategy:
-    """Strategy numbering: Alice bits in the low m_a positions, Bob above."""
-    ma, mb = scenario.m_a, scenario.m_b
-    if not 0 <= index < scenario.num_strategies:
-        raise StructuralError(f"strategy index {index} out of range")
-    s_a = tuple((index >> x) & 1 for x in range(ma))
-    s_b = tuple((index >> (ma + y)) & 1 for y in range(mb))
-    return DeterministicStrategy(s_a, s_b)
 
 
 def lift(f: BellFunctional, scenario: Scenario) -> BellFunctional:

@@ -73,7 +73,7 @@ def _bits(indices: np.ndarray, m: int) -> np.ndarray:
 
 def _behaviors(scenario: Scenario, indices: np.ndarray) -> np.ndarray:
     """0/1 behavior vectors (s_a, s_b, s_a s_b^T) of the strategies with
-    these strategy_from_index numbers, one int64 row each."""
+    these numbers (Alice's bits low, Bob's above), one int64 row each."""
     ma, mb = scenario.m_a, scenario.m_b
     bits = _bits(indices, ma + mb)
     joint = (bits[:, :ma, None] * bits[:, None, ma:]).reshape(len(bits), ma * mb)
@@ -82,7 +82,8 @@ def _behaviors(scenario: Scenario, indices: np.ndarray) -> np.ndarray:
 
 def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
     """Exact values of coefficient rows (M_A, M_B, then C by rows) at every
-    strategy: one column per strategy, in strategy_from_index order.
+    strategy: one column per strategy, numbered with Alice's bits low and
+    Bob's above.
 
     A row's value at s is row . v_s, so the values are rows @ V^T for the
     behavior matrix V.  In float64 that GEMM is exact when

@@ -5,8 +5,8 @@ theta in [0, pi/4] (the form is symmetric about pi/4), or at fixed theta
 the mixture w|psi><psi| + (1-w) 1/4 that degenerate noise thresholds need.
 A two-outcome measurement is its "0" effect (t + r.sigma)/2, t its trace:
 a rank-1 projector has t = 1 and a unit Bloch vector r; a degenerate one
-has the identity (t = 2) or the zero operator (t = 0), with r = 0.  The
-engine's int8 kind code is t itself.
+has the identity (t = 2) or the zero operator (t = 0), with r = 0, so a
+kind code is t itself.
 
 The engine works in effect coordinates x = (t, r_x, r_y, r_z).  In the
 correlation-tensor form of the state, with wc = w cos 2theta, ws =
@@ -26,7 +26,11 @@ plus marginal rows, has its top eigenvector put in Schmidt form; the local
 unitaries fold into the measurements as SO(3) rotations of the Bloch
 vectors.  Every step is an exact block maximum, so the value never
 decreases; seeded random restarts run batched and share one correlation
-table (marginal coefficients may differ per row).
+table (marginal coefficients may differ per row).  A batch takes theta =
+None (free: each row draws its starting angle) or one float; a row's state,
+returned and accepted as a warm start, is its effect coordinates xa, xb and,
+at free theta, its angle.  The sweep cap is _MAX_SWEEPS unless a caller
+sets another.
 
 No product sums across rows: each is stacked per row (np.matmul over the
 batch axis), since one GEMM over the batch rounds differently with the
@@ -81,6 +85,7 @@ _TOL = 1e-10  # a sweep that moves a row's value by less ends that row
 # a decision row stops once even this many times its last gain, for every
 # sweep left under the cap, would leave it below the target
 _REACH = 10.0
+_MAX_SWEEPS = 500  # sweep cap of a see-saw batch, unless its caller sets one
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ class QuantumResult:
     restarts_used: int
     sweeps: int          # sweeps the batch ran (its slowest restart)
     row_sweeps: int      # sweeps summed over restarts
-    converged: int       # restarts stopped by _TOL, not by max_sweeps
+    converged: int       # restarts stopped by _TOL, not by _MAX_SWEEPS
     history: tuple[tuple[float, ...], ...] | None = None
 
 
@@ -264,36 +269,41 @@ def _schmidt_step(MA, MB, C, xa, xb):
     return theta, xa, xb
 
 
-def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False,
-                  rng=None, init=None, max_sweeps=500, record=False, target=None):
-    """Run one batched see-saw; returns the final state of every row, with
-    its sweeps (`row_sweeps`) and whether it stopped on _TOL (`converged`).
+def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
+                  rng=None, init=None, max_sweeps=None, record=False, target=None):
+    """Run one batched see-saw; returns each row's final state (`values`,
+    `theta` and the effect coordinates `xa`, `xb`), its sweeps (`row_sweeps`)
+    and whether it stopped on _TOL (`converged`).
 
-    MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is shared,
-    and so is theta at fixed theta.  A row freezes after the first sweep
-    that moves its value by less than _TOL, so its trajectory does not
-    depend on the other rows.  A target (scalar or per row) ends the run
-    after the first sweep in which some row's value exceeds it.  With a
-    target, a row also leaves once value + _REACH * max(gain, 0) * (sweeps
-    left) stays below its target.  Such a row keeps its value, which equals
-    its full run's value at that sweep count; it is not marked converged.
+    theta=None optimizes the Schmidt angle from starting angles drawn from
+    `rng` (before the Bloch vectors); a float fixes it.  MA (n, m_a) and MB
+    (n, m_b) may differ per row; C (m_a, m_b) is shared.  `init` replaces
+    the random start of rows init["rows"] by init["xa"], init["xb"] and, at
+    free theta, init["theta"].  The cap is _MAX_SWEEPS unless `max_sweeps`
+    is given.  A row freezes after the first sweep that moves its value by
+    less than _TOL, so its trajectory does not depend on the other rows.  A
+    target (scalar or per row) ends the run after the first sweep in which
+    some row's value exceeds it.  With a target, a row also leaves once
+    value + _REACH * max(gain, 0) * (sweeps left) stays below its target.
+    Such a row keeps its value, which equals its full run's value at that
+    sweep count; it is not marked converged.
     """
     C = np.ascontiguousarray(C, dtype=float)
     MA, MB = (np.asarray(M, dtype=float) / 2.0 for M in (MA, MB))  # halved from here on
     (n, ma), mb = MA.shape, MB.shape[1]
-    if free_theta and w != 1.0:
+    free = theta is None
+    if free and w != 1.0:
         raise StructuralError("free-state updates require visibility 1")
-    theta = np.array(theta, dtype=float).reshape(n).copy()
-    if not free_theta and np.any(theta != theta[0]):
-        raise StructuralError("a fixed-theta batch shares one theta")
-
+    max_sweeps = _MAX_SWEEPS if max_sweeps is None else max_sweeps
+    theta = rng.uniform(0.0, math.pi / 4, size=n) if free else np.full(n, float(theta))
     xa, xb = (np.concatenate([np.full((n, m, 1), float(_PROJ)), _random_bloch(rng, (n, m))],
                              axis=-1) for m in (ma, mb))
     if init is not None:
-        for side, x in (("a", xa), ("b", xb)):
-            x[init["rows"], :, 0] = init[side + "kind"]
-            x[init["rows"], :, 1:] = init[side + "bloch"]
-    ka, kb, wc = _kernels(C, theta if free_theta else theta[:1], w)
+        rows = init["rows"]
+        xa[rows], xb[rows] = init["xa"], init["xb"]
+        if free:
+            theta[rows] = init["theta"]
+    ka, kb, wc = _kernels(C, theta if free else theta[:1], w)
     fa = _field(MA, xb, ka, wc)  # Alice's field, ready for the next sweep
     values = _value(xa, fa, MB, xb, wc)
     out = {"values": values, "theta": theta, "xa": xa, "xb": xb,
@@ -306,7 +316,7 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
     for sweeps in range(1, max_sweeps + 1):
         xa, _ = _best_effects(fa, allow_degenerate)
         xb, b_best = _best_effects(_field(MB, xa, kb, wc), allow_degenerate)
-        if free_theta:
+        if free:
             theta, xa, xb = _schmidt_step(MA, MB, C, xa, xb)
             ka, kb, wc = _kernels(C, theta, w)
             fa = _field(MA, xb, ka, wc)
@@ -334,37 +344,46 @@ def _seesaw_batch(MA, MB, C, *, theta, free_theta, w=1.0, allow_degenerate=False
             keep = ~leave
             live, MA, MB, theta, target, values, xa, xb, fa = (
                 a[keep] for a in (live, MA, MB, theta, target, values, xa, xb, fa))
-            if free_theta:  # fixed-theta kernels are shared, not per row
+            if free:  # fixed-theta kernels are shared, not per row
                 kb, wc = kb[keep], wc[keep]
         if record:
             out["values"][live] = values
             history.append(out["values"].copy())
         if not live.size:
             break
-    xa, xb = out.pop("xa"), out.pop("xb")
-    return {**out, "akind": xa[..., 0].astype(np.int8), "abloch": xa[..., 1:],
-            "bkind": xb[..., 0].astype(np.int8), "bbloch": xb[..., 1:],
-            "history": history, "sweeps": sweeps}
-
-
-def _measurements_from_row(kind, bloch) -> tuple[Measurement, ...]:
-    out = []
-    for k, v in zip(kind, bloch):
-        if k == _PROJ:
-            n = float(np.linalg.norm(v))
-            out.append(Measurement(KIND_PROJECTOR, tuple(v / n)))
-        else:
-            out.append(Measurement(_KIND_NAMES[int(k)]))
-    return tuple(out)
+    return {**out, "history": history, "sweeps": sweeps}
 
 
 def _model_from_row(state, row: int) -> QubitModel:
+    def measurements(x):
+        return tuple(projector(v[1:]) if v[0] == _PROJ else Measurement(_KIND_NAMES[int(v[0])])
+                     for v in x)
+
     theta = float(min(max(state["theta"][row], 0.0), math.pi / 4))
-    return QubitModel(
-        theta=theta,
-        alice_meas=_measurements_from_row(state["akind"][row], state["abloch"][row]),
-        bob_meas=_measurements_from_row(state["bkind"][row], state["bbloch"][row]),
-    )
+    return QubitModel(theta, measurements(state["xa"][row]), measurements(state["xb"][row]))
+
+
+def _best_of_groups(MA, MB, const, C, *, restarts, warm=None, target=None, **engine_options):
+    """One see-saw batch for groups of `restarts` rows, group i maximizing
+    the table (MA[i], MB[i], C) plus const[i]; `warm` (one row state per
+    group) replaces each group's first random start, and a target for the
+    value plus the constant makes it a decision call.  Returns (best value,
+    its group, its model, each group's best row state, the batch state)."""
+    if restarts < 1:
+        raise StructuralError("restarts must be >= 1")
+    g, r = len(const), restarts
+    row_const = np.repeat(const, r)
+    init = None if warm is None else {"rows": np.arange(g) * r, **warm}
+    state = _seesaw_batch(np.repeat(MA, r, axis=0), np.repeat(MB, r, axis=0), C, init=init,
+                          target=None if target is None else target - row_const,
+                          **engine_options)
+    totals = (state["values"] + row_const).reshape(g, r)
+    best_r = totals.argmax(axis=1)  # first index on ties
+    group_rows = np.arange(g) * r + best_r
+    best = int(totals.max(axis=1).argmax())
+    warm_out = {k: state[k][group_rows] for k in ("xa", "xb", "theta")}
+    return (float(totals[best, best_r[best]]), best, _model_from_row(state, group_rows[best]),
+            warm_out, state)
 
 
 def _coefficient_arrays(f: BellFunctional):
@@ -373,32 +392,20 @@ def _coefficient_arrays(f: BellFunctional):
 
 def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
                     theta: float | None = None, allow_degenerate: bool = False,
-                    max_sweeps: int = 500,
                     record_history: bool = False) -> QuantumResult:
-    """Best raw value of I over `restarts` seeded see-saw runs.
+    """Best raw value of I over `restarts` seeded see-saw runs of at most
+    _MAX_SWEEPS sweeps.
 
     theta=None optimizes the Schmidt angle; a float fixes it.  The returned
     value is the maximum of I itself, not I minus the bound.
     """
-    if restarts < 1:
-        raise StructuralError("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
+    if theta is not None and not 0.0 <= theta <= math.pi / 4 + 1e-12:
+        raise StructuralError(f"theta {theta} outside [0, pi/4]")
     MA, MB, C = _coefficient_arrays(f)
-    n = restarts
-    free = theta is None
-    if free:
-        theta0 = rng.uniform(0.0, math.pi / 4, size=n)
-    else:
-        if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-            raise StructuralError(f"theta {theta} outside [0, pi/4]")
-        theta0 = np.full(n, float(theta))
-    state = _seesaw_batch(
-        np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
-        theta=theta0, free_theta=free, allow_degenerate=allow_degenerate,
-        rng=rng, max_sweeps=max_sweeps, record=record_history)
-    best = int(np.argmax(state["values"]))  # first index on ties
-    value = float(state["values"][best])
-    model = _model_from_row(state, best)
+    value, _, model, _, state = _best_of_groups(
+        MA[None], MB[None], np.zeros(1), C, restarts=restarts, theta=theta,
+        allow_degenerate=allow_degenerate, rng=np.random.default_rng(seed),
+        record=record_history)
     history = None
     if record_history:
         arr = np.stack(state["history"], axis=1)  # (n, sweeps+1)
@@ -414,4 +421,3 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
         converged=int(state["converged"].sum()),
         history=history,
     )
-

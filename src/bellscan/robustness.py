@@ -64,12 +64,12 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Behavior, BellFunctional, StructuralError
+from .polytope import _bits
 from .quantum import (
     QuantumResult,
     QubitModel,
+    _best_of_groups,
     _coefficient_arrays,
-    _model_from_row,
-    _seesaw_batch,
     seesaw_maximize,
 )
 
@@ -180,22 +180,18 @@ def noise_threshold(f: BellFunctional, theta: float, *,
             return None
         return NoiseResult(w_threshold=w, theta=theta, model=best.model,
                            batches=1, row_sweeps=best.row_sweeps)
-    if restarts < 1:
-        raise StructuralError("restarts must be >= 1")
 
     # identity effects make the noise term measurement-dependent: bisect,
-    # re-optimizing at each visibility with detectors that always click
+    # re-optimizing the measurements at each visibility
     MA, MB, C = _coefficient_arrays(f)
-    bound = float(f.bound)
-    sa, sb = np.zeros((1, MA.size)), np.zeros((1, MB.size))
+    target = float(f.bound) + _VIOLATION_MARGIN
     rng = np.random.default_rng(seed)
 
     def violated_at(w: float):
-        value, _, model, _, row_sweeps = _detected_max(
-            MA, MB, C, theta, 1.0, 1.0, sa, sb, rng=rng, restarts=restarts,
-            warm=None, allow_degenerate=True, max_sweeps=500,
-            target=bound + _VIOLATION_MARGIN, w=w)
-        return value > bound + _VIOLATION_MARGIN, model, row_sweeps
+        value, _, model, _, state = _best_of_groups(
+            MA[None], MB[None], np.zeros(1), C, restarts=restarts, target=target,
+            theta=theta, w=w, allow_degenerate=True, rng=rng)
+        return value > target, model, int(state["row_sweeps"].sum())
 
     found = _bisect_threshold(violated_at)
     if found is None:
@@ -228,59 +224,30 @@ def detected_behavior(p: Behavior, d: DetectionModel) -> Behavior:
 # Detection thresholds.
 # ---------------------------------------------------------------------------
 
-def _assignment_bits(count: int, m: int) -> np.ndarray:
-    masks = np.arange(count, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(m)) & 1).astype(float)
+def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
+                  warm, allow_degenerate, target=None):
+    """Max of I over measurements and no-click assignments, at most
+    _ETA_SWEEPS sweeps per row: (value, assignment, model, warm start for
+    the next call, row-sweeps).  The detected value is const + I_eff(p) on
+    the undetected behavior p.
 
-
-def _effective_tables(MA, MB, C, eta_a, eta_b, sa, sb):
-    """Detected-value decomposition: I(detected p) = const + I_eff(p)."""
+    With a target the see-saw stops once some detected value exceeds it."""
     csb = sb @ C.T                      # (n, ma): sum_y C[x,y] s_b[y]
     csa = sa @ C                        # (n, mb)
     MA_eff = eta_a * MA[None, :] + eta_a * (1 - eta_b) * csb
     MB_eff = eta_b * MB[None, :] + (1 - eta_a) * eta_b * csa
     const = ((1 - eta_a) * (sa @ MA) + (1 - eta_b) * (sb @ MB)
              + (1 - eta_a) * (1 - eta_b) * np.einsum("nx,nx->n", sa, csb))
-    return MA_eff, MB_eff, const
-
-
-def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
-                  warm, allow_degenerate, max_sweeps, target=None, w=1.0):
-    """Max of I at visibility w over measurements and no-click assignments:
-    (value, assignment, model, warm start for the next call, row-sweeps).
-
-    With a target the see-saw stops once some detected value exceeds it."""
-    n = sa.shape[0]
-    MA_eff, MB_eff, const = _effective_tables(MA, MB, C, eta_a, eta_b, sa, sb)
-    r = restarts
-    total_rows = n * r
-    big_ma = np.repeat(MA_eff, r, axis=0)
-    big_mb = np.repeat(MB_eff, r, axis=0)
-    row_const = np.repeat(const, r)
-    init = None
-    if warm is not None:
-        init = {"rows": np.arange(n) * r, **warm}
-    state = _seesaw_batch(big_ma, big_mb, eta_a * eta_b * C,
-                          theta=np.full(total_rows, theta), free_theta=False, w=w,
-                          allow_degenerate=allow_degenerate, rng=rng, init=init,
-                          max_sweeps=max_sweeps,
-                          target=None if target is None else target - row_const)
-    totals = (state["values"] + row_const).reshape(n, r)
-    best_r = totals.argmax(axis=1)
-    best_rows = np.arange(n) * r + best_r
-    warm_out = {k: state[k][best_rows].copy()
-                for k in ("akind", "abloch", "bkind", "bbloch")}
-    best_assign = int(totals.max(axis=1).argmax())
-    best_row = best_assign * r + int(best_r[best_assign])
-    return (float(totals[best_assign, best_r[best_assign]]), best_assign,
-            _model_from_row(state, best_row), warm_out, int(state["row_sweeps"].sum()))
+    value, assign, model, warm, state = _best_of_groups(
+        MA_eff, MB_eff, const, eta_a * eta_b * C, restarts=restarts, warm=warm,
+        target=target, theta=theta, allow_degenerate=allow_degenerate, rng=rng,
+        max_sweeps=_ETA_SWEEPS)
+    return value, assign, model, warm, int(state["row_sweeps"].sum())
 
 
 def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
                    seed: int, restarts: int,
                    allow_degenerate: bool) -> DetectionResult | None:
-    if restarts < 1:
-        raise StructuralError("restarts must be >= 1")
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
     ma, mb = f.scenario.m_a, f.scenario.m_b
@@ -289,10 +256,10 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
     rng = np.random.default_rng(seed)
 
     if symmetric:
-        bits = _assignment_bits(1 << (ma + mb), ma + mb)
+        bits = _bits(np.arange(1 << (ma + mb)), ma + mb).astype(float)
         sa, sb = bits[:, :ma], bits[:, ma:]
     else:
-        sb = _assignment_bits(1 << mb, mb)
+        sb = _bits(np.arange(1 << mb), mb).astype(float)
         sa = np.zeros((1 << mb, ma))  # irrelevant at eta_a = 1
 
     warm = None
@@ -303,7 +270,7 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
         value, assign, model, warm, row_sweeps = _detected_max(
             MA, MB, C, theta, ea, eb, sa, sb, rng=rng, restarts=restarts,
             warm=warm, allow_degenerate=allow_degenerate,
-            max_sweeps=_ETA_SWEEPS, target=bound + _VIOLATION_MARGIN)
+            target=bound + _VIOLATION_MARGIN)
         return value > bound + _VIOLATION_MARGIN, (assign, model), row_sweeps
 
     found = _bisect_threshold(violated_at)
@@ -329,7 +296,7 @@ def _eta_at_maximal_entanglement(f: BellFunctional,
         return None
     ma, mb = f.scenario.m_a, f.scenario.m_b
     MA, MB, C = _coefficient_arrays(f)
-    bits = _assignment_bits(1 << (ma + mb), ma + mb)
+    bits = _bits(np.arange(1 << (ma + mb)), ma + mb).astype(float)
     sa, sb = bits[:, :ma], bits[:, ma:]
     csb = sb @ C.T
     corr = np.einsum("nx,nx->n", sa, csb)                 # s_a C s_b

@@ -81,26 +81,6 @@ def random_transformation(s: Scenario, rng: random.Random) -> Transformation:
 
 
 # ---------------------------------------------------------------------------
-# Source maps: a transformation is determined by where each relabeled
-# (party, setting) reads from, together with a flip bit.
-# ---------------------------------------------------------------------------
-
-def _source_map(t: Transformation) -> dict[tuple[int, int], tuple[int, int, int]]:
-    out = {}
-    perms = (t.alice_perm, t.bob_perm)
-    flips = (t.alice_flips, t.bob_flips)
-    sizes = (len(t.alice_perm), len(t.bob_perm))
-    for party in (0, 1):
-        src_party = 1 - party if t.swap_parties else party
-        perm = perms[src_party]
-        flip = flips[src_party]
-        for i in range(sizes[party]):
-            j = perm[i]
-            out[(party, i)] = (src_party, j, flip[j])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Actions on tables and behaviors.
 # ---------------------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 strategies and the relabeling group, and the behaviors they act on.  The
 package's exact and vectorized paths are checked against these."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterator
@@ -12,14 +13,40 @@ from bellscan.core import (
     Behavior,
     BellFunctional,
     CapacityError,
-    DeterministicStrategy,
     Scenario,
     StructuralError,
     evaluate,
-    strategy_from_index,
 )
 from bellscan.polytope import _ENUMERATION_LIMIT, _scored
-from bellscan.symmetry import Transformation, _source_map
+from bellscan.symmetry import Transformation
+
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Local deterministic strategy; bit 1 means the party outputs "0" for that setting."""
+
+    s_a: tuple[int, ...]
+    s_b: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "s_a", tuple(self.s_a))
+        object.__setattr__(self, "s_b", tuple(self.s_b))
+        if not all(v in (0, 1) for v in self.s_a + self.s_b):
+            raise StructuralError("strategy entries must be bits")
+
+
+def num_strategies(scenario: Scenario) -> int:
+    return 1 << (scenario.m_a + scenario.m_b)
+
+
+def strategy_from_index(scenario: Scenario, index: int) -> DeterministicStrategy:
+    """Strategy numbering: Alice bits in the low m_a positions, Bob above."""
+    ma, mb = scenario.m_a, scenario.m_b
+    if not 0 <= index < num_strategies(scenario):
+        raise StructuralError(f"strategy index {index} out of range")
+    s_a = tuple((index >> x) & 1 for x in range(ma))
+    s_b = tuple((index >> (ma + y)) & 1 for y in range(mb))
+    return DeterministicStrategy(s_a, s_b)
 
 
 def behavior_of_strategy(s: DeterministicStrategy) -> Behavior:
@@ -44,7 +71,7 @@ def uniform_behavior(scenario: Scenario) -> Behavior:
 
 def strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
     """All 2^(m_a+m_b) deterministic strategies, in index order."""
-    for index in range(scenario.num_strategies):
+    for index in range(num_strategies(scenario)):
         yield strategy_from_index(scenario, index)
 
 
@@ -91,6 +118,22 @@ def all_transformations(s: Scenario) -> Iterator[Transformation]:
                 for aflips in product((0, 1), repeat=s.m_a):
                     for bflips in product((0, 1), repeat=s.m_b):
                         yield Transformation(aperm, bperm, aflips, bflips, swap)
+
+
+def _source_map(t: Transformation) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Where each relabeled (party, setting) reads from, with its flip bit."""
+    out = {}
+    perms = (t.alice_perm, t.bob_perm)
+    flips = (t.alice_flips, t.bob_flips)
+    sizes = (len(t.alice_perm), len(t.bob_perm))
+    for party in (0, 1):
+        src_party = 1 - party if t.swap_parties else party
+        perm = perms[src_party]
+        flip = flips[src_party]
+        for i in range(sizes[party]):
+            j = perm[i]
+            out[(party, i)] = (src_party, j, flip[j])
+    return out
 
 
 def relabel_behavior(p: Behavior, t: Transformation) -> Behavior:

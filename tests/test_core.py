@@ -6,7 +6,6 @@ import pytest
 from bellscan.core import (
     Behavior,
     BellFunctional,
-    DeterministicStrategy,
     FunctionalParseError,
     Scenario,
     StructuralError,
@@ -18,7 +17,12 @@ from bellscan.core import (
     serialize_functional,
 )
 from bellscan.catalog import catalog_get, catalog_list
-from reference_walks import behavior_of_strategy, strategies, uniform_behavior
+from reference_walks import (
+    DeterministicStrategy,
+    behavior_of_strategy,
+    strategies,
+    uniform_behavior,
+)
 
 
 def all_zero_outputs(scenario):

@@ -11,7 +11,6 @@ from bellscan.catalog import catalog_get, catalog_list
 from bellscan.core import (
     BellFunctional,
     CapacityError,
-    DeterministicStrategy,
     Scenario,
     evaluate,
     lift,
@@ -26,6 +25,7 @@ from bellscan.polytope import (
     _strategy_values,
 )
 from reference_walks import (
+    DeterministicStrategy,
     behavior_of_strategy,
     local_bound_bruteforce,
     saturating_strategies,

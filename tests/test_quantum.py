@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from bellscan import quantum
 from bellscan.catalog import catalog_get
 from bellscan.core import StructuralError, evaluate
 from bellscan.quantum import (
@@ -142,15 +143,14 @@ def _fixed_batch(name, theta, w, allow_degenerate, **kwargs):
     MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
     n = 6
     MA, MB = np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size))
-    state = _seesaw_batch(MA, MB, C, theta=np.full(n, theta), free_theta=False,
+    state = _seesaw_batch(MA, MB, C, theta=theta,
                           w=w, allow_degenerate=allow_degenerate,
                           rng=np.random.default_rng(3), record=True, **kwargs)
     # a fixed-theta sweep scores itself from its block maxima; that score
     # must equal the value of the state it returns, stopped early or not
     wc = w * np.cos(2 * state["theta"])
     ws = w * np.sin(2 * state["theta"])
-    recomputed = _values(MA, MB, C, wc, ws, w, state["akind"], state["abloch"],
-                         state["bkind"], state["bbloch"])
+    recomputed = _values(MA, MB, C, wc, ws, w, *_split(state))
     assert np.max(np.abs(state["values"] - recomputed)) <= 1e-12
     history = np.stack(state["history"], axis=1)
     assert history.shape[1] == state["sweeps"] + 1
@@ -223,21 +223,25 @@ def test_unreachable_target_stops_rows_early(name, theta, w, allow_degenerate):
         assert state["row_sweeps"].sum() < full["row_sweeps"].sum()
 
 
-def test_result_reports_sweeps():
+def test_result_reports_sweeps(monkeypatch):
     f = catalog_get("I4322_2").functional
-    assert seesaw_maximize(f, restarts=4, seed=2, max_sweeps=7).sweeps == 7
-    assert seesaw_maximize(f, restarts=4, seed=2, theta=0.3, max_sweeps=7).sweeps == 7
+    with monkeypatch.context() as m:
+        m.setattr(quantum, "_MAX_SWEEPS", 7)
+        assert seesaw_maximize(f, restarts=4, seed=2).sweeps == 7
+        assert seesaw_maximize(f, restarts=4, seed=2, theta=0.3).sweeps == 7
     # CHSH at pi/4 converges long before the cap
     done = seesaw_maximize(catalog_get("CHSH").functional, restarts=4, seed=2,
                            theta=math.pi / 4)
     assert 1 <= done.sweeps < 500
 
 
-def test_result_reports_row_work():
+def test_result_reports_row_work(monkeypatch):
     f = catalog_get("I4322_2").functional
-    for theta in (None, 0.3):
-        cut = seesaw_maximize(f, restarts=4, seed=2, theta=theta, max_sweeps=1)
-        assert (cut.sweeps, cut.row_sweeps, cut.converged) == (1, 4, 0)
+    with monkeypatch.context() as m:
+        m.setattr(quantum, "_MAX_SWEEPS", 1)
+        for theta in (None, 0.3):
+            cut = seesaw_maximize(f, restarts=4, seed=2, theta=theta)
+            assert (cut.sweeps, cut.row_sweeps, cut.converged) == (1, 4, 0)
     # CHSH at pi/4 converges on every restart, each in its own number of sweeps
     done = seesaw_maximize(catalog_get("CHSH").functional, restarts=4, seed=2,
                            theta=math.pi / 4)
@@ -246,14 +250,20 @@ def test_result_reports_row_work():
 
 
 def _random_rows(rng, n, ma, mb, degenerate):
-    """An init covering every row: unit Bloch vectors, and with `degenerate`
-    each setting's kind drawn from projector, identity and zero (r = 0)."""
+    """An init covering every row in effect coordinates: unit Bloch vectors,
+    and with `degenerate` each setting's kind drawn from projector, identity
+    and zero (r = 0)."""
     state = {"rows": np.arange(n)}
     for side, m in (("a", ma), ("b", mb)):
         kind = rng.choice([_PROJ, _ID, _ZERO] if degenerate else [_PROJ], size=(n, m))
-        state[side + "kind"] = kind.astype(np.int8)
-        state[side + "bloch"] = _random_bloch(rng, (n, m)) * (kind == _PROJ)[..., None]
+        bloch = _random_bloch(rng, (n, m)) * (kind == _PROJ)[..., None]
+        state["x" + side] = np.concatenate([kind[..., None].astype(float), bloch], axis=-1)
     return state
+
+
+def _split(state):
+    """The oracle's (akind, abloch, bkind, bbloch) from effect coordinates."""
+    return state["xa"][..., 0], state["xa"][..., 1:], state["xb"][..., 0], state["xb"][..., 1:]
 
 
 @pytest.mark.parametrize("free", [False, True])
@@ -269,15 +279,15 @@ def test_rows_run_independently(free, allow_degenerate):
     n = 6
     rng = np.random.default_rng(11)
     init = _random_rows(rng, n, MA.size, MB.size, allow_degenerate)
-    theta = rng.uniform(0.0, math.pi / 4, n) if free else np.full(n, 0.3)
-    opts = dict(free_theta=free, allow_degenerate=allow_degenerate)
+    if free:
+        init["theta"] = rng.uniform(0.0, math.pi / 4, n)
 
     def run(rows):
         k = len(rows)
         sub = {key: v[rows] for key, v in init.items() if key != "rows"}
         return _seesaw_batch(np.tile(MA, (k, 1)), np.tile(MB, (k, 1)), C,
-                             theta=theta[rows], init={"rows": np.arange(k), **sub},
-                             rng=np.random.default_rng(0), **opts)
+                             theta=None if free else 0.3, init={"rows": np.arange(k), **sub},
+                             rng=np.random.default_rng(0), allow_degenerate=allow_degenerate)
 
     batch = run(np.arange(n))
     assert len(set(batch["row_sweeps"])) > 1  # the rows stop at different sweeps
@@ -285,10 +295,11 @@ def test_rows_run_independently(free, allow_degenerate):
         alone = run(np.array([i]))
         assert alone["row_sweeps"][0] == batch["row_sweeps"][i]
         assert alone["converged"][0] == batch["converged"][i]
-        for key in ("values", "theta", "abloch", "bbloch"):
+        for key in ("values", "theta"):
             assert np.max(np.abs(alone[key][0] - batch[key][i])) <= 1e-12, key
-        for key in ("akind", "bkind"):
-            assert np.array_equal(alone[key][0], batch[key][i]), key
+        for key in ("xa", "xb"):  # Bloch vectors to rounding, kinds exactly
+            assert np.max(np.abs(alone[key][0, :, 1:] - batch[key][i, :, 1:])) <= 1e-12, key
+            assert np.array_equal(alone[key][0, :, 0], batch[key][i, :, 0]), key
 
 
 @pytest.mark.parametrize("name", ["I4322_2", "I4422_4"])
@@ -297,25 +308,31 @@ def test_rows_are_bitwise_batch_invariant(name, free):
     # every product is stacked per row, so a row's arithmetic does not
     # depend on its batch: even where exact projector/identity ties and
     # ill-conditioned Schmidt frames amplify rounding, a row run alone
-    # equals its batch row bit for bit
+    # equals its batch row bit for bit.  An init covering every row (xa, xb
+    # and, at free theta, theta) is the rows' whole state, so the rng that
+    # would draw their random starts changes nothing
     MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
     n = 6
     rng = np.random.default_rng(11)
     init = _random_rows(rng, n, MA.size, MB.size, degenerate=True)
-    theta = rng.uniform(0.0, math.pi / 4, n) if free else np.full(n, 0.3)
+    if free:
+        init["theta"] = rng.uniform(0.0, math.pi / 4, n)
 
-    def run(rows):
+    def run(rows, seed=0):
         sub = {key: v[rows] for key, v in init.items() if key != "rows"}
         return _seesaw_batch(np.tile(MA, (len(rows), 1)), np.tile(MB, (len(rows), 1)), C,
-                             theta=theta[rows], init={"rows": np.arange(len(rows)), **sub},
-                             free_theta=free, allow_degenerate=True,
-                             rng=np.random.default_rng(0))
+                             theta=None if free else 0.3,
+                             init={"rows": np.arange(len(rows)), **sub},
+                             allow_degenerate=True, rng=np.random.default_rng(seed), record=True)
 
     batch = run(np.arange(n))
+    other_rng = run(np.arange(n), seed=1)
+    assert set(other_rng) == set(batch)
+    for key in batch:
+        assert np.array_equal(other_rng[key], batch[key]), key
     for i in range(n):
         alone = run(np.array([i]))
-        for key in ("values", "theta", "akind", "abloch", "bkind", "bbloch",
-                    "row_sweeps", "converged"):
+        for key in ("values", "theta", "xa", "xb", "row_sweeps", "converged"):
             assert np.array_equal(alone[key][0], batch[key][i]), key
 
 
@@ -326,12 +343,11 @@ def test_zero_block_gives_unit_projectors(allow_degenerate):
     n, m = 3, 2
     init = _random_rows(np.random.default_rng(1), n, m, m, degenerate=True)
     state = _seesaw_batch(np.zeros((n, m)), np.zeros((n, m)), np.zeros((m, m)),
-                          theta=np.full(n, 0.4), free_theta=False,
-                          allow_degenerate=allow_degenerate, init=init,
+                          theta=0.4, allow_degenerate=allow_degenerate, init=init,
                           rng=np.random.default_rng(0), max_sweeps=1)
     for side in "ab":
-        assert np.all(state[side + "kind"] == _PROJ)
-        assert np.array_equal(state[side + "bloch"], np.tile([0.0, 0.0, 1.0], (n, m, 1)))
+        assert np.all(state["x" + side][..., 0] == _PROJ)
+        assert np.array_equal(state["x" + side][..., 1:], np.tile([0.0, 0.0, 1.0], (n, m, 1)))
 
 
 @pytest.mark.parametrize("w", [1.0, 0.7])
@@ -345,7 +361,7 @@ def test_values_match_model_oracle(name, w):
     rng = np.random.default_rng(5)
     state = _random_rows(rng, n, MA.size, MB.size, degenerate=True)
     state["theta"] = rng.choice([0.0, 0.2, math.pi / 8, 0.6, math.pi / 4], size=n)
-    assert {_PROJ, _ID, _ZERO} <= set(np.unique(state["akind"]))
+    assert {_PROJ, _ID, _ZERO} <= set(np.unique(state["xa"][..., 0]))
     _check_values(f, state, w)
 
 
@@ -355,14 +371,9 @@ def test_free_degenerate_batch_values_match_model_oracle():
     n = 8
     rng = np.random.default_rng(9)
     state = _seesaw_batch(np.tile(MA, (n, 1)), np.tile(MB, (n, 1)), C,
-                          theta=rng.uniform(0.0, math.pi / 4, n), free_theta=True,
                           allow_degenerate=True, rng=rng)
-    assert np.any(state["akind"] != _PROJ) or np.any(state["bkind"] != _PROJ)
+    assert np.any(state["xa"][..., 0] != _PROJ) or np.any(state["xb"][..., 0] != _PROJ)
     assert np.max(np.abs(_check_values(f, state, 1.0) - state["values"])) <= 1e-12
-
-
-def _coords(state, side):
-    return np.concatenate([state[side + "kind"][..., None], state[side + "bloch"]], axis=-1)
 
 
 @pytest.mark.parametrize("w", [1.0, 0.7])
@@ -383,16 +394,14 @@ def test_block_maxima_match_oracle(w, theta, allow_degenerate):
     MB = MB + rng.normal(size=(n, MB.size))
     wc, ws = np.full(n, w * math.cos(2 * theta)), np.full(n, w * math.sin(2 * theta))
     ka, kb, wc1 = _kernels(C, np.array([theta]), w)
-    xa, xb = _coords(state, "a"), _coords(state, "b")
+    xa, xb = state["xa"], state["xb"]
     got = _value(xa, _field(MA / 2, xb, ka, wc1), MB / 2, xb, wc1)
-    oracle = _values(MA, MB, C, wc, ws, w, state["akind"], state["abloch"],
-                     state["bkind"], state["bbloch"])
+    oracle = _values(MA, MB, C, wc, ws, w, *_split(state))
     assert np.max(np.abs(got - oracle)) <= 1e-12
-    for M, CC, K, other in ((MA, C, ka, "b"), (MB, C.T, kb, "a")):
-        x, best = _best_effects(_field(M / 2, _coords(state, other), K, wc1),
-                                allow_degenerate)
+    for M, CC, K, other in ((MA, C, ka, xb), (MB, C.T, kb, xa)):
+        x, best = _best_effects(_field(M / 2, other, K, wc1), allow_degenerate)
         kind, bloch, oracle_best = seesaw_oracle._update_party(
-            M, CC, wc, ws, w, state[other + "kind"], state[other + "bloch"], allow_degenerate)
+            M, CC, wc, ws, w, other[..., 0], other[..., 1:], allow_degenerate)
         assert np.array_equal(x[..., 0], kind)
         assert np.max(np.abs(x[..., 1:] - bloch)) <= 1e-12
         assert np.max(np.abs(best - oracle_best)) <= 1e-12
@@ -412,10 +421,11 @@ def test_schmidt_step_matches_oracle(degenerate):
     state = _random_rows(rng, n, MA.size, MB.size, degenerate)
     MA = MA + rng.normal(size=(n, MA.size))
     MB = MB + rng.normal(size=(n, MB.size))
-    theta, xa, xb = _schmidt_step(MA / 2, MB / 2, C, _coords(state, "a"), _coords(state, "b"))
-    kinds = state["akind"], state["bkind"]
+    theta, xa, xb = _schmidt_step(MA / 2, MB / 2, C, state["xa"], state["xb"])
+    akind, abloch, bkind, bbloch = _split(state)
+    kinds = akind, bkind
     o_theta, o_abloch, o_bbloch = seesaw_oracle._update_state(
-        MA, MB, C, kinds[0], state["abloch"], kinds[1], state["bbloch"])
+        MA, MB, C, kinds[0], abloch, kinds[1], bbloch)
     assert np.max(np.abs(theta - o_theta)) <= 1e-12
     assert np.array_equal(xa[..., 0], kinds[0]) and np.array_equal(xb[..., 0], kinds[1])
 
@@ -425,8 +435,8 @@ def test_schmidt_step_matches_oracle(degenerate):
     assert np.max(np.abs(value(theta, xa[..., 1:], xb[..., 1:])
                          - value(o_theta, o_abloch, o_bbloch))) <= 1e-12
     spectrum = np.linalg.eigvalsh(seesaw_oracle._bell_operator(
-        MA, MB, C, seesaw_oracle._effects(kinds[0], state["abloch"]),
-        seesaw_oracle._effects(kinds[1], state["bbloch"])))
+        MA, MB, C, seesaw_oracle._effects(kinds[0], abloch),
+        seesaw_oracle._effects(kinds[1], bbloch)))
     unique = ((spectrum[:, -1] - spectrum[:, -2] > 1e-6)
               & (o_theta > 1e-6) & (o_theta < math.pi / 4 - 1e-6))
     assert unique.sum() >= 8  # 90 of 90 rank-1 rows, 10 of 90 with degenerate effects
@@ -440,7 +450,7 @@ def _check_values(f, state, w):
     n = len(state["theta"])
     got = _values(np.tile(MA, (n, 1)), np.tile(MB, (n, 1)), C,
                   w * np.cos(2 * state["theta"]), w * np.sin(2 * state["theta"]), w,
-                  state["akind"], state["abloch"], state["bkind"], state["bbloch"])
+                  *_split(state))
     for row in range(n):
         oracle = float(noisy_value(f, _model_from_row(state, row), w))
         assert got[row] == pytest.approx(oracle, abs=1e-12)

@@ -8,7 +8,8 @@ import pytest
 from bellscan import table
 from bellscan.catalog import catalog_get
 from bellscan.core import BellFunctional, StructuralError, evaluate
-from bellscan import quantum, robustness
+from bellscan import quantum
+from bellscan.polytope import _bits
 from bellscan.quantum import (
     _coefficient_arrays,
     _seesaw_batch,
@@ -20,7 +21,6 @@ from bellscan.quantum import (
 from bellscan.robustness import (
     _VIOLATION_MARGIN,
     DetectionModel,
-    _assignment_bits,
     _detected_max,
     _eta_at_maximal_entanglement,
     detected_behavior,
@@ -55,7 +55,7 @@ def sweep_log(monkeypatch):
         log.append(state["sweeps"])
         return state
 
-    monkeypatch.setattr(robustness, "_seesaw_batch", recorded)
+    monkeypatch.setattr(quantum, "_seesaw_batch", recorded)
     return log
 
 
@@ -64,7 +64,7 @@ def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
     detected maximum of every no-click assignment (rank-1 effects)."""
     ma, mb = f.scenario.m_a, f.scenario.m_b
     MA, MB, C = _coefficient_arrays(f)
-    bits = _assignment_bits(1 << (ma + mb), ma + mb)
+    bits = _bits(np.arange(1 << (ma + mb)), ma + mb).astype(float)
     rng = np.random.default_rng(seed)
     warm = None
     lo, hi = 0.0, 1.0
@@ -72,8 +72,7 @@ def bisected_eta(f, *, seed=1, restarts=8, eta_tol=1e-5):
         mid = 0.5 * (lo + hi)
         value, _, _, warm, _ = _detected_max(
             MA, MB, C, math.pi / 4, mid, mid, bits[:, :ma], bits[:, ma:],
-            rng=rng, restarts=restarts, warm=warm, allow_degenerate=False,
-            max_sweeps=300)
+            rng=rng, restarts=restarts, warm=warm, allow_degenerate=False)
         if value > float(f.bound) + 1e-9:
             hi = mid
         else:
@@ -94,8 +93,7 @@ def bisected_noise_w(f, theta, *, seed, restarts):
         nonlocal sweeps
         state = _seesaw_batch(
             np.broadcast_to(MA, (n, MA.size)), np.broadcast_to(MB, (n, MB.size)), C,
-            theta=np.full(n, theta), free_theta=False, w=w,
-            allow_degenerate=True, rng=rng)
+            theta=theta, w=w, allow_degenerate=True, rng=rng)
         sweeps += state["sweeps"]
         return state["values"].max() > float(f.bound) + 1e-9
 
@@ -308,14 +306,14 @@ def test_detected_max_target_keeps_the_decision():
     # the full run's best gives its "no" for fewer row-sweeps
     f = catalog_get("I3322").functional
     MA, MB, C = _coefficient_arrays(f)
-    sb = _assignment_bits(8, 3)
+    sb = _bits(np.arange(8), 3).astype(float)
     sa = np.zeros((8, 3))
 
     def detected(target):
         value, _, _, _, row_sweeps = _detected_max(
             MA, MB, C, 0.05 * math.pi, 1.0, 0.5, sa, sb,
             rng=np.random.default_rng(4), restarts=3, warm=None,
-            allow_degenerate=False, max_sweeps=300, target=target)
+            allow_degenerate=False, target=target)
         return value, row_sweeps
 
     full, full_work = detected(None)
