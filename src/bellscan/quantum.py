@@ -21,16 +21,19 @@ with kron(C, Omega) plus the marginal term gives each setting's field G,
 and an effect scores x . G: the best projector aligns r with g = G[1:]
 (value G[0] + |g|), the identity scores 2 G[0] and the zero effect 0; the
 last two compete only when degenerate effects are allowed.  For a free
-state the Bell operator sum_ij T_ij sigma_i (x) sigma_j, T = X_a^T C X_b / 4
-plus marginal rows, has its top eigenvector put in Schmidt form; the local
-unitaries fold into the measurements as SO(3) rotations of the Bloch
-vectors.  Every step is an exact block maximum, so the value never
-decreases; seeded random restarts run batched and share one correlation
-table (marginal coefficients may differ per row).  A batch takes theta =
-None (free: each row draws its starting angle) or one float; a row's state,
-returned and accepted as a warm start, is its effect coordinates xa, xb and,
-at free theta, its angle.  The sweep cap is _MAX_SWEEPS unless a caller
-sets another.
+state the block maximum is the top eigenvector psi of the Bell operator
+sum_ij T_ij sigma_i (x) sigma_j, T = X_a^T C X_b / 4 plus marginal rows.  A
+free row keeps psi in the frame its effects live in, with Omega_ij =
+<psi|sigma_i (x) sigma_j|psi> / 4 and marginal vectors 4 Omega[:, 0]
+(Alice) and 4 Omega[0, :] (Bob) in place of the Schmidt ones.  Only its
+output is put in Schmidt form: the local unitaries fold into the
+measurements as SO(3) rotations of the Bloch vectors.  Every step is an
+exact block maximum, so the value never decreases; seeded random restarts
+run batched and share one correlation table (marginal coefficients may
+differ per row).  A batch takes theta = None (free: each row draws its
+starting angle) or one float; a row's state, returned and accepted as a
+warm start, is its effect coordinates xa, xb and, at free theta, its
+Schmidt angle.  The sweep cap is _MAX_SWEEPS unless a caller sets another.
 
 No product sums across rows: each is stacked per row (np.matmul over the
 batch axis), since one GEMM over the batch rounds differently with the
@@ -184,9 +187,9 @@ def _random_bloch(rng: np.random.Generator, shape) -> np.ndarray:
     return v / norm
 
 
-def _kernels(C, theta, w):
-    """Per angle: Alice's field kernel, Bob's kron(C, Omega) (k, 4 m_a, 4 m_b)
-    whose transpose it is, and wc as a (k, 1) column."""
+def _omega(theta, w):
+    """Omega (k, 4, 4) of the Schmidt state at each angle, mixed with
+    visibility w, and wc = w cos 2theta as a (k, 1) column."""
     wc, ws = w * np.cos(2 * theta), w * np.sin(2 * theta)
     omega = np.zeros(theta.shape + (4, 4))
     omega[:, 0, 0] = 0.25
@@ -194,57 +197,98 @@ def _kernels(C, theta, w):
     omega[:, 1, 1] = ws / 4.0
     omega[:, 2, 2] = -ws / 4.0
     omega[:, 3, 3] = w / 4.0
-    (ma, mb), k = C.shape, len(theta)
-    kb = (C[:, None, :, None] * omega[:, None, :, None, :]).reshape(k, 4 * ma, 4 * mb)
-    return np.ascontiguousarray(kb.transpose(0, 2, 1)), kb, wc[:, None]
+    return omega, wc[:, None]
 
 
-def _field(M, x, K, wc):
+def _omega_state(psi):
+    """Omega_ij = <psi|sigma_i (x) sigma_j|psi> / 4 (n, 4, 4) of each row's
+    pure state psi (n, 4), one stacked product per row."""
+    n = len(psi)
+    rho = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(n, 1, 16)
+    return np.matmul(rho, _PAULI_PAIRS.T).real.reshape(n, 4, 4) / 4.0
+
+
+def _kron_table(C):
+    """(16, 4 m_a, 4 m_b) table T with Omega.ravel() @ T = kron(C, Omega):
+    T[4 i + j, 4 x + i, 4 y + j] = C[x, y], and 0 elsewhere."""
+    (ma, mb), i = C.shape, np.arange(4)
+    table = np.zeros((4, 4, ma, 4, mb, 4))
+    table[i[:, None], i, :, i[:, None], :, i] = C
+    return table.reshape(16, 4 * ma, 4 * mb)
+
+
+def _kernels(table, omega):
+    """Per Omega: Alice's field kernel and Bob's kron(C, Omega) (k, 4 m_a,
+    4 m_b), whose transpose it is.  Each entry of the product with the
+    table has one nonzero term, so it is exact and sums across no rows."""
+    k = len(omega)
+    kb = (omega.reshape(k, 16) @ table.reshape(16, -1)).reshape((k,) + table.shape[1:])
+    return np.ascontiguousarray(kb.transpose(0, 2, 1)), kb
+
+
+def _state_kernels(table, psi):
+    """Field kernels of each row's state psi and its marginal vectors
+    u_a = 4 Omega[:, 0], u_b = 4 Omega[0, :] (n, 4)."""
+    omega = _omega_state(psi)
+    return (*_kernels(table, omega), 4.0 * omega[:, :, 0], 4.0 * omega[:, 0, :])
+
+
+def _field(M, x, K, u):
     """(n, m, 4) scores of one party's effects given the partner's x (M is
     halved): the value is x_self . field plus the partner's marginal term.
-    One stacked product per row; none sums across rows."""
+    u is the party's marginal vector, (n, 4) per free row; a fixed state's
+    is (1, 0, 0, wc), passed as the (1, 1) wc and added as its two nonzero
+    entries.  One stacked product per row; none sums across rows."""
     G = np.matmul(x.reshape(len(x), 1, -1), K).reshape(M.shape + (4,))
-    G[..., 0] += M
-    G[..., 3] += M * wc
+    if u.shape[-1] == 4:
+        G += M[..., None] * u[:, None, :]
+    else:
+        G[..., 0] += M
+        G[..., 3] += M * u
     return G
 
 
-def _marginal(M, x, wc):
-    """A party's marginal term, M halved: an effect occurs with (t + wc r_z) / 2."""
-    return np.einsum("nm,nm->n", M, x[..., 0] + wc * x[..., 3])
+def _marginal(M, x, u):
+    """A party's marginal term, M halved: an effect occurs with x . u / 2,
+    u as in _field."""
+    p = np.matmul(x, u[:, :, None])[..., 0] if u.shape[-1] == 4 else x[..., 0] + u * x[..., 3]
+    return np.einsum("nm,nm->n", M, p)
 
 
-def _value(xa, fa, MB, xb, wc):
+def _value(xa, fa, MB, xb, ub):
     """The value from Alice's coordinates and field and Bob's marginal term."""
-    return np.einsum("nxi,nxi->n", xa, fa) + _marginal(MB, xb, wc)
+    return np.einsum("nxi,nxi->n", xa, fa) + _marginal(MB, xb, ub)
 
 
 def _best_effects(G, allow_degenerate):
     """Exact block maximum over one party's effects, given their scores G:
     the new coordinates and each setting's maximum.  The projector along
-    g = G[1:] scores G[0] + |g|, the identity 2 G[0], the zero effect 0."""
+    g = G[1:] scores G[0] + |g|, the identity 2 G[0], the zero effect 0.
+    With g = 0 every r is optimal; +z keeps the projector's r a unit vector."""
+    if not allow_degenerate:
+        sq = G * G
+        norm = np.sqrt((sq[..., 1] + sq[..., 2]) + sq[..., 3])
+        unit = norm > 1e-300
+        x = G / np.where(unit, norm, np.inf)[..., None]
+        x[..., 0] = _PROJ
+        x[..., 3] += ~unit
+        return x, G[..., 0] + norm
+    # argmax over (projector, identity, zero); ties go to the earlier one.
+    # Column by column, which is faster than the above on large batches
     base = G[..., 0]
     norm = np.sqrt(G[..., 1] ** 2 + G[..., 2] ** 2 + G[..., 3] ** 2)
     best = base + norm
+    v_id = 2.0 * base
+    top = np.maximum(np.maximum(best, v_id), 0.0)
+    proj = best >= top
     x = np.empty_like(G)
-    x[..., 0] = _PROJ
-    # g = 0: every r is optimal; +z keeps the projector's r a unit vector
-    unit = norm > 1e-300
-    plus_z = ~unit
-    if allow_degenerate:
-        # argmax over (projector, identity, zero); ties go to the earlier one
-        v_id = 2.0 * base
-        top = np.maximum(np.maximum(best, v_id), 0.0)
-        proj = best >= top
-        x[..., 0] = np.where(proj, _PROJ, _ID * (v_id >= 0.0))
-        best = top
-        unit &= proj  # a degenerate effect has r = 0
-        plus_z &= proj
+    x[..., 0] = np.where(proj, _PROJ, _ID * (v_id >= 0.0))
+    unit = (norm > 1e-300) & proj  # a degenerate effect has r = 0
     scale = np.where(unit, norm, np.inf)
     for k in (1, 2, 3):
         np.divide(G[..., k], scale, out=x[..., k])
-    x[..., 3] += plus_z
-    return x, best
+    x[..., 3] += proj & ~unit
+    return x, top
 
 
 def _rotation(U):
@@ -253,16 +297,23 @@ def _rotation(U):
                            _PAULI[1:], U).real
 
 
-def _schmidt_step(MA, MB, C, xa, xb):
-    """Free-state block maximum (MA, MB halved): the Bell operator's top
-    eigenvector in Schmidt form.  Returns the angles and new coordinates."""
+def _state_step(MA, MB, C, xa, xb):
+    """Free-state block maximum (MA, MB halved): the top eigenvector (n, 4)
+    of the Bell operator, in the frame of xa and xb."""
     n = len(xa)
     half = np.matmul(C, xb) / 4.0
     half[..., 0] += MA
     t = np.matmul(xa.transpose(0, 2, 1), half)
     t[:, 0] += np.matmul(MB[:, None, :], xb)[:, 0]
     _, vecs = np.linalg.eigh(np.matmul(t.reshape(n, 1, 16), _PAULI_PAIRS).reshape(n, 4, 4))
-    u, s, vh = np.linalg.svd(vecs[:, :, -1].reshape(n, 2, 2))
+    return vecs[:, :, -1]
+
+
+def _schmidt_form(psi, xa, xb):
+    """Each state psi (n, 4) as cos(theta)|00> + sin(theta)|11> with theta in
+    [0, pi/4]: the local unitaries fold into the effects as SO(3) rotations
+    of their Bloch vectors.  Returns theta and the rotated xa, xb."""
+    u, s, vh = np.linalg.svd(psi.reshape(len(psi), 2, 2))
     theta = np.arctan2(s[:, 1], s[:, 0])  # s sorted descending -> theta in [0, pi/4]
     xa, xb = (np.concatenate([x[..., :1], np.matmul(x[..., 1:], _rotation(U))], axis=-1)
               for x, U in ((xa, u), (xb, vh.transpose(0, 2, 1))))  # Bob: conjugated columns
@@ -275,18 +326,21 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
     `theta` and the effect coordinates `xa`, `xb`), its sweeps (`row_sweeps`)
     and whether it stopped on _TOL (`converged`).
 
-    theta=None optimizes the Schmidt angle from starting angles drawn from
-    `rng` (before the Bloch vectors); a float fixes it.  MA (n, m_a) and MB
-    (n, m_b) may differ per row; C (m_a, m_b) is shared.  `init` replaces
-    the random start of rows init["rows"] by init["xa"], init["xb"] and, at
-    free theta, init["theta"].  The cap is _MAX_SWEEPS unless `max_sweeps`
-    is given.  A row freezes after the first sweep that moves its value by
-    less than _TOL, so its trajectory does not depend on the other rows.  A
-    target (scalar or per row) ends the run after the first sweep in which
-    some row's value exceeds it.  With a target, a row also leaves once
-    value + _REACH * max(gain, 0) * (sweeps left) stays below its target.
-    Such a row keeps its value, which equals its full run's value at that
-    sweep count; it is not marked converged.
+    theta=None optimizes the state from Schmidt angles drawn from `rng`
+    (before the Bloch vectors); a float fixes it.  A free row carries its
+    state psi, starting at cos(theta)|00> + sin(theta)|11>, in the frame of
+    its effects; the returned rows are put in Schmidt form once, at the
+    end.  MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is
+    shared.  `init` replaces the random start of rows init["rows"] by
+    init["xa"], init["xb"] and, at free theta, init["theta"] (a Schmidt
+    angle, with xa and xb in its frame).  The cap is _MAX_SWEEPS unless
+    `max_sweeps` is given.  A row freezes after the first sweep that moves
+    its value by less than _TOL, so its trajectory does not depend on the
+    other rows.  A target (scalar or per row) ends the run after the first
+    sweep in which some row's value exceeds it.  With a target, a row also
+    leaves once value + _REACH * max(gain, 0) * (sweeps left) stays below
+    its target.  Such a row keeps its value, which equals its full run's
+    value at that sweep count; it is not marked converged.
     """
     C = np.ascontiguousarray(C, dtype=float)
     MA, MB = (np.asarray(M, dtype=float) / 2.0 for M in (MA, MB))  # halved from here on
@@ -303,11 +357,21 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
         xa[rows], xb[rows] = init["xa"], init["xb"]
         if free:
             theta[rows] = init["theta"]
-    ka, kb, wc = _kernels(C, theta if free else theta[:1], w)
-    fa = _field(MA, xb, ka, wc)  # Alice's field, ready for the next sweep
-    values = _value(xa, fa, MB, xb, wc)
+    table = _kron_table(C)
+    if free:  # a row's state is psi in the frame of its effects
+        psi = np.zeros((n, 4), dtype=complex)
+        psi[:, 0], psi[:, 3] = np.cos(theta), np.sin(theta)
+        ka, kb, ua, ub = _state_kernels(table, psi)
+    else:  # one Schmidt state, shared by all rows
+        omega, ua = _omega(theta[:1], w)
+        ka, kb = _kernels(table, omega)
+        ub = ua
+    fa = _field(MA, xb, ka, ua)  # Alice's field, ready for the next sweep
+    values = _value(xa, fa, MB, xb, ub)
     out = {"values": values, "theta": theta, "xa": xa, "xb": xb,
            "row_sweeps": np.zeros(n, dtype=np.int64), "converged": np.zeros(n, dtype=bool)}
+    if free:
+        out["psi"] = psi
     history = [values.copy()] if record else None
     decide = target is not None
     target = np.broadcast_to(np.inf if target is None else target, (n,))
@@ -315,15 +379,15 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         xa, _ = _best_effects(fa, allow_degenerate)
-        xb, b_best = _best_effects(_field(MB, xa, kb, wc), allow_degenerate)
+        xb, b_best = _best_effects(_field(MB, xa, kb, ub), allow_degenerate)
         if free:
-            theta, xa, xb = _schmidt_step(MA, MB, C, xa, xb)
-            ka, kb, wc = _kernels(C, theta, w)
-            fa = _field(MA, xb, ka, wc)
-            new_values = _value(xa, fa, MB, xb, wc)
+            psi = _state_step(MA, MB, C, xa, xb)
+            ka, kb, ua, ub = _state_kernels(table, psi)
+            fa = _field(MA, xb, ka, ua)
+            new_values = _value(xa, fa, MB, xb, ub)
         else:
-            fa = _field(MA, xb, ka, wc)
-            new_values = _marginal(MA, xa, wc) + b_best.sum(axis=1)
+            fa = _field(MA, xb, ka, ua)
+            new_values = _marginal(MA, xa, ua) + b_best.sum(axis=1)
         gain = new_values - values
         done = np.abs(gain) < _TOL
         values = new_values
@@ -337,20 +401,23 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
             leave = done
         if leave.any():
             rows = live[leave]
-            for key, arr in zip(out, (values, theta, xa, xb)):
+            for key, arr in zip(("values", "xa", "xb"), (values, xa, xb)):
                 out[key][rows] = arr[leave]
             out["row_sweeps"][rows] = sweeps
             out["converged"][rows] = done[leave]
             keep = ~leave
-            live, MA, MB, theta, target, values, xa, xb, fa = (
-                a[keep] for a in (live, MA, MB, theta, target, values, xa, xb, fa))
+            live, MA, MB, target, values, xa, xb, fa = (
+                a[keep] for a in (live, MA, MB, target, values, xa, xb, fa))
             if free:  # fixed-theta kernels are shared, not per row
-                kb, wc = kb[keep], wc[keep]
+                out["psi"][rows] = psi[leave]
+                psi, kb, ub = psi[keep], kb[keep], ub[keep]
         if record:
             out["values"][live] = values
             history.append(out["values"].copy())
         if not live.size:
             break
+    if free:
+        out["theta"], out["xa"], out["xb"] = _schmidt_form(out.pop("psi"), out["xa"], out["xb"])
     return {**out, "history": history, "sweeps": sweeps}
 
 

@@ -1,11 +1,15 @@
 """Test-only oracle: the see-saw algebra written on kinds, Bloch vectors
 and complex 2x2 effects, independent of the engine's effect coordinates.
 The engine's block maxima, free-state updates and values are checked
-against these functions."""
+against these functions.  It also holds the free-theta sweep in Schmidt
+form, which re-canonicalizes every row's state on every sweep; the
+engine keeps the state in the frame of its effects and is checked
+against it."""
 
 import numpy as np
 
-from bellscan.quantum import _ID, _PROJ
+from bellscan.quantum import (_ID, _MAX_SWEEPS, _PROJ, _TOL, _best_effects, _field, _omega,
+                              _schmidt_form, _state_step, _value)
 
 _SIGMA = np.array([
     [[0, 1], [1, 0]],
@@ -93,3 +97,51 @@ def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
         return np.where(ok, vec / np.where(ok, norm, 1.0), 0.0)
 
     return theta, extract(new_a), extract(new_b)
+
+
+def _schmidt_kernels(C, theta):
+    """Per row: Alice's field kernel, Bob's kron(C, Omega) built by
+    broadcasting, and wc (n, 1), for the Schmidt state at each angle."""
+    omega, wc = _omega(theta, 1.0)
+    (ma, mb), n = C.shape, len(theta)
+    kb = (C[:, None, :, None] * omega[:, None, :, None, :]).reshape(n, 4 * ma, 4 * mb)
+    return np.ascontiguousarray(kb.transpose(0, 2, 1)), kb, wc
+
+
+def _schmidt_step(MA, MB, C, xa, xb):
+    """Free-state block maximum in Schmidt form (MA, MB halved): the angles
+    and the effects rotated into the new state's Schmidt frame."""
+    return _schmidt_form(_state_step(MA, MB, C, xa, xb), xa, xb)
+
+
+def schmidt_frame_batch(MA, MB, C, init, allow_degenerate):
+    """Free-theta see-saw of the rows init["xa"], init["xb"], init["theta"]
+    with every state put back in Schmidt form after each sweep.  A row stops
+    on the engine's rule (|gain| < _TOL, or the _MAX_SWEEPS cap).  Returns
+    the final `values`, `theta` and `row_sweeps`, and the (n, sweeps + 1)
+    history in which a stopped row keeps its last value."""
+    MA, MB = MA / 2.0, MB / 2.0
+    theta, xa, xb = init["theta"], init["xa"], init["xb"]
+    ka, kb, wc = _schmidt_kernels(C, theta)
+    fa = _field(MA, xb, ka, wc)
+    values = _value(xa, fa, MB, xb, wc)
+    out = {"values": values.copy(), "theta": theta.copy(),
+           "row_sweeps": np.zeros(len(values), dtype=np.int64)}
+    history = [values.copy()]
+    live = np.arange(len(values))
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        xa, _ = _best_effects(fa, allow_degenerate)
+        xb, _ = _best_effects(_field(MB, xa, kb, wc), allow_degenerate)
+        theta, xa, xb = _schmidt_step(MA, MB, C, xa, xb)
+        ka, kb, wc = _schmidt_kernels(C, theta)
+        fa = _field(MA, xb, ka, wc)
+        new_values = _value(xa, fa, MB, xb, wc)
+        keep = (np.abs(new_values - values) >= _TOL) & (sweeps < _MAX_SWEEPS)
+        values = new_values
+        out["values"][live], out["theta"][live], out["row_sweeps"][live] = values, theta, sweeps
+        history.append(out["values"].copy())
+        live, MA, MB, values, xa, xb, fa, kb, wc = (
+            a[keep] for a in (live, MA, MB, values, xa, xb, fa, kb, wc))
+        if not live.size:
+            break
+    return out, np.stack(history, axis=1)

@@ -21,10 +21,14 @@ from bellscan.quantum import (
     _coefficient_arrays,
     _field,
     _kernels,
+    _kron_table,
     _model_from_row,
+    _omega,
+    _omega_state,
     _random_bloch,
-    _schmidt_step,
+    _schmidt_form,
     _seesaw_batch,
+    _state_step,
     _value,
     model_behavior,
     projector,
@@ -393,7 +397,8 @@ def test_block_maxima_match_oracle(w, theta, allow_degenerate):
     MA = MA + rng.normal(size=(n, MA.size))
     MB = MB + rng.normal(size=(n, MB.size))
     wc, ws = np.full(n, w * math.cos(2 * theta)), np.full(n, w * math.sin(2 * theta))
-    ka, kb, wc1 = _kernels(C, np.array([theta]), w)
+    omega, wc1 = _omega(np.array([theta]), w)
+    ka, kb = _kernels(_kron_table(C), omega)
     xa, xb = state["xa"], state["xb"]
     got = _value(xa, _field(MA / 2, xb, ka, wc1), MB / 2, xb, wc1)
     oracle = _values(MA, MB, C, wc, ws, w, *_split(state))
@@ -421,7 +426,8 @@ def test_schmidt_step_matches_oracle(degenerate):
     state = _random_rows(rng, n, MA.size, MB.size, degenerate)
     MA = MA + rng.normal(size=(n, MA.size))
     MB = MB + rng.normal(size=(n, MB.size))
-    theta, xa, xb = _schmidt_step(MA / 2, MB / 2, C, state["xa"], state["xb"])
+    theta, xa, xb = _schmidt_form(_state_step(MA / 2, MB / 2, C, state["xa"], state["xb"]),
+                                  state["xa"], state["xb"])
     akind, abloch, bkind, bbloch = _split(state)
     kinds = akind, bkind
     o_theta, o_abloch, o_bbloch = seesaw_oracle._update_state(
@@ -442,6 +448,47 @@ def test_schmidt_step_matches_oracle(degenerate):
     assert unique.sum() >= 8  # 90 of 90 rank-1 rows, 10 of 90 with degenerate effects
     assert np.max(np.abs(xa[unique, :, 1:] - o_abloch[unique])) <= 1e-12
     assert np.max(np.abs(xb[unique, :, 1:] - o_bbloch[unique])) <= 1e-12
+
+
+def test_lab_frame_matches_schmidt_frame():
+    # a free row keeps its state as the Bell operator's top eigenvector in
+    # the frame of its effects and is put in Schmidt form only on output;
+    # the same rows swept in Schmidt form, re-canonicalized every sweep,
+    # agree to rounding on every sweep both ran.  Rows start from projectors,
+    # as in seesaw_maximize: a start with identity or zero effects can give
+    # the Bell operator a degenerate top eigenvalue, whose eigenvector, and
+    # so the trajectory, is arbitrary in either frame
+    rng = np.random.default_rng(31)
+    for name, degenerate in (("I4422_2", False), ("AII2", False), ("I4422_18", False),
+                             ("I4422_4", True)):
+        MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
+        n = 8
+        init = _random_rows(rng, n, MA.size, MB.size, degenerate=False)
+        init["theta"] = rng.uniform(0.0, math.pi / 4, n)
+        MA, MB = np.tile(MA, (n, 1)), np.tile(MB, (n, 1))
+        lab = _seesaw_batch(MA, MB, C, init=init, allow_degenerate=degenerate,
+                            rng=np.random.default_rng(0), record=True)
+        schmidt, history = seesaw_oracle.schmidt_frame_batch(MA, MB, C, init, degenerate)
+        if degenerate:  # the runs reach identity or zero effects
+            assert np.any(lab["xa"][..., 0] != _PROJ) or np.any(lab["xb"][..., 0] != _PROJ)
+        assert np.all(np.abs(lab["row_sweeps"] - schmidt["row_sweeps"]) <= 1), name
+        lab_history = np.stack(lab["history"], axis=1)
+        for row in range(n):
+            both = 1 + min(lab["row_sweeps"][row], schmidt["row_sweeps"][row])
+            assert np.max(np.abs(lab_history[row, :both] - history[row, :both])) <= 1e-12, name
+        assert np.max(np.abs(lab["theta"] - schmidt["theta"])) <= 1e-9, name
+    # the Schmidt vector's Omega is the Schmidt Omega
+    theta = rng.uniform(0.0, math.pi / 4, 50)
+    psi = np.zeros((50, 4), dtype=complex)
+    psi[:, 0], psi[:, 3] = np.cos(theta), np.sin(theta)
+    assert np.max(np.abs(_omega_state(psi) - _omega(theta, 1.0)[0])) <= 1e-15
+    # the table product is the broadcast kron exactly, for any Omega
+    for ma, mb in ((2, 3), (4, 4)):
+        C = rng.integers(-3, 4, size=(ma, mb)).astype(float)
+        omega = rng.normal(size=(7, 4, 4))
+        ka, kb = _kernels(_kron_table(C), omega)
+        kron = (C[:, None, :, None] * omega[:, None, :, None, :]).reshape(7, 4 * ma, 4 * mb)
+        assert np.array_equal(kb, kron) and np.array_equal(ka, kron.transpose(0, 2, 1))
 
 
 def _check_values(f, state, w):
