@@ -281,15 +281,16 @@ def functional_to_json(f: BellFunctional, name: str | None = None) -> dict:
 
 
 def functional_from_json(obj: dict) -> BellFunctional:
+    """Inverse of functional_to_json.  Every number must be a JSON integer;
+    a float, boolean or string is a StructuralError, never truncated."""
     try:
-        scenario = Scenario(int(obj["scenario"]["ma"]), int(obj["scenario"]["mb"]))
-        bound = Fraction(int(obj["bound"]["num"]), int(obj["bound"]["den"]))
+        num, den = obj["bound"]["num"], obj["bound"]["den"]
+        _check_int(num, "bound numerator")
+        _check_int(den, "bound denominator")
+        if den == 0:
+            raise StructuralError("bound denominator must be nonzero")
         return BellFunctional(
-            scenario,
-            tuple(int(v) for v in obj["alice_marg"]),
-            tuple(int(v) for v in obj["bob_marg"]),
-            tuple(tuple(int(v) for v in row) for row in obj["corr"]),
-            bound,
-        )
+            Scenario(obj["scenario"]["ma"], obj["scenario"]["mb"]),
+            obj["alice_marg"], obj["bob_marg"], obj["corr"], Fraction(num, den))
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed functional object: {exc}") from None

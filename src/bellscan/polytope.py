@@ -1,12 +1,14 @@
 """Local bounds, saturating strategies and the facet (tightness) test.
 
-Everything here is exact.  `_strategy_values` scores coefficient tables at
-every deterministic strategy with one GEMM against the 0/1 behavior matrix,
-in float64 when max|coefficient| * d < 2^53 (so that every partial sum is an
-integer float64 holds exactly) and in Python integers otherwise; the
-saturating set, the facet test and search screening all use it.  A
-functional is a facet iff its bound is attained and the saturating points
-span an affine subspace of dimension d-1 (d the no-signaling dimension).
+Everything here is exact.  `_strategy_values` is the one scoring path for
+deterministic strategies: one GEMM of coefficient tables against the 0/1
+behavior matrix, in float64 when max|coefficient| * d < 2^53 (so that every
+partial sum is an integer float64 holds exactly) and in Python integers
+otherwise.  The local bound, the saturating set, the facet test, search
+screening and the closed-form detection threshold at theta = pi/4 all read
+it, so its one guard (m_a + m_b <= 24) limits all of them.  A functional
+is a facet iff its bound is attained and the saturating points span an
+affine subspace of dimension d-1 (d the no-signaling dimension).
 `_affine_dims` takes that rank for a whole batch of saturating sets at
 once: Gaussian elimination modulo primes below 2^31, with as many primes
 as a Hadamard bound on the minors asks for.
@@ -47,23 +49,9 @@ def ns_dimension(s: Scenario) -> int:
 
 
 def local_bound(f: BellFunctional) -> Fraction:
-    """Maximum over all deterministic strategies.
-
-    For each of the 2^m_a Alice assignments, Bob's settings decouple: setting
-    y contributes max(0, M_B(y) + sum_{x on} C(x,y)).
-    """
-    ma, mb = f.scenario.m_a, f.scenario.m_b
-    best = None
-    for mask in range(1 << ma):
-        on = [x for x in range(ma) if (mask >> x) & 1]
-        total = sum(f.alice_marg[x] for x in on)
-        for y in range(mb):
-            col = f.bob_marg[y] + sum(f.corr[x][y] for x in on)
-            if col > 0:
-                total += col
-        if best is None or total > best:
-            best = total
-    return Fraction(best)
+    """Maximum over deterministic strategies: the largest entry of the
+    strategy table, under the one guard (CapacityError past m_a + m_b = 24)."""
+    return Fraction(int(_strategy_table(f).max()))
 
 
 def _bits(indices: np.ndarray, m: int) -> np.ndarray:
@@ -116,10 +104,15 @@ def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
     return values
 
 
+def _strategy_table(f: BellFunctional) -> np.ndarray:
+    """f's value at every deterministic strategy, Alice's bits low."""
+    return _strategy_values(f.scenario, [f.alice_marg + f.bob_marg + sum(f.corr, ())])[0]
+
+
 def _scored(f: BellFunctional) -> tuple[np.ndarray, np.ndarray]:
     """f's value at every strategy, and the mask of those equal to f.bound
     (all False if the bound is not an integer)."""
-    values = _strategy_values(f.scenario, [f.alice_marg + f.bob_marg + sum(f.corr, ())])[0]
+    values = _strategy_table(f)
     target = f.bound.numerator
     # a bound beyond every value saturates nothing, and may not fit float64
     if f.bound.denominator != 1 or abs(target) > int(np.abs(values).max()):

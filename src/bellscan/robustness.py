@@ -21,14 +21,16 @@ the optimization collapses onto an effective coefficient table evaluated
 on the undetected behavior plus a constant.
 
 The symmetric threshold at theta = pi/4 with rank-1 effects is a closed
-form.  Every marginal is 1/2 there, so for no-click bits s the best
-detected value is
+form over f's strategy table D (`polytope`), D[s] the value of the
+deterministic strategy s = (s_a, s_b).  Every rank-1 marginal is 1/2
+there, so where only Alice detects the value is Abar[s_b], the mean of D
+over her strategies s_a, and where only Bob detects it is Bbar[s_a], the
+mean over s_b.  For no-click bits s the best detected value is
 
-    const(s, eta) + sum MA_eff / 2 + sum MB_eff / 2
-        + eta^2 (sum C / 4 + Q(pi/4) - N),
+    I'(eta) = eta^2 Q(pi/4) + eta (1 - eta) (Abar + Bbar) + (1 - eta)^2 D,
 
-a quadratic in eta whose measurement optimum depends on neither s nor
-eta.  The threshold is the smallest root, over all 2^(m_a+m_b)
+a quadratic in eta whose measurement optimum Q(pi/4) depends on neither s
+nor eta.  The threshold is the smallest root, over all 2^(m_a+m_b)
 assignments, at the bound plus a small margin, so the model and the bits
 witness a violation there.  Both closed forms, w* and this eta, read one
 fixed-theta see-saw optimum for Q(pi/4); a caller that already holds that
@@ -64,7 +66,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Behavior, BellFunctional, StructuralError
-from .polytope import _bits
+from .polytope import _bits, _strategy_table
 from .quantum import (
     QuantumResult,
     QubitModel,
@@ -285,26 +287,26 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
                            batches=batches, row_sweeps=row_sweeps)
 
 
+def _quadratic_at_maximal_entanglement(f: BellFunctional, value: float):
+    """(det, b, d) with I'(eta) = det + b eta + d eta^2 at every no-click
+    assignment s = s_a + 2^m_a s_b, from the pi/4 rank-1 optimum `value`
+    (see the module docstring); det is f's strategy table."""
+    ma, mb = f.scenario.m_a, f.scenario.m_b
+    table = _strategy_table(f).astype(float).reshape(1 << mb, 1 << ma)  # [s_b, s_a]
+    alice = table.mean(axis=1, keepdims=True)  # Abar[s_b]
+    bob = table.mean(axis=0, keepdims=True)    # Bbar[s_a]
+    return (table.ravel(), (alice + bob - 2 * table).ravel(),
+            (value - alice - bob + table).ravel())
+
+
 def _eta_at_maximal_entanglement(f: BellFunctional,
                                  best: QuantumResult) -> DetectionResult | None:
     """Closed-form symmetric threshold at theta = pi/4 with rank-1 effects
-    from the fixed-theta optimum `best` (see the module docstring); the
-    quadratic for bits s is written as det_s + b_s eta + d_s eta^2, with
-    det_s the value of local strategy s."""
+    from the fixed-theta optimum `best`."""
     target = float(f.bound) + _VIOLATION_MARGIN
     if best.value <= target:
         return None
-    ma, mb = f.scenario.m_a, f.scenario.m_b
-    MA, MB, C = _coefficient_arrays(f)
-    bits = _bits(np.arange(1 << (ma + mb)), ma + mb).astype(float)
-    sa, sb = bits[:, :ma], bits[:, ma:]
-    csb = sb @ C.T
-    corr = np.einsum("nx,nx->n", sa, csb)                 # s_a C s_b
-    det = sa @ MA + sb @ MB + corr
-    half = (MA.sum() + MB.sum()) / 2                      # marginal part of Q
-    cross = (csb.sum(axis=1) + (sa @ C).sum(axis=1)) / 2
-    b = half + cross - det - corr
-    d = best.value - half + corr - cross
+    det, b, d = _quadratic_at_maximal_entanglement(f, best.value)
     # smallest positive root of d eta^2 + b eta - gap = 0; the roots q/d and
     # -gap/q avoid cancellation whatever the signs.  gap <= 0 means s
     # reaches the target already at eta = 0
@@ -317,9 +319,10 @@ def _eta_at_maximal_entanglement(f: BellFunctional,
     roots = np.where(gap <= 0, 0.0, pair.min(axis=0))
     assign = int(np.argmin(roots))
     eta = min(float(roots[assign]), 1.0)
+    ma, mb = f.scenario.m_a, f.scenario.m_b
+    bits = tuple(int(v) for v in _bits(np.array([assign]), ma + mb)[0])
     return DetectionResult(eta=eta, eta_a=eta, eta_b=eta, model=best.model,
-                           noclick_a=tuple(int(v) for v in sa[assign]),
-                           noclick_b=tuple(int(v) for v in sb[assign]),
+                           noclick_a=bits[:ma], noclick_b=bits[ma:],
                            batches=1, row_sweeps=best.row_sweeps)
 
 

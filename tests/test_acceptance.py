@@ -15,6 +15,7 @@ reference cell changes only with such a written argument.  Run with
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ from bellscan.symmetry import (
     random_transformation,
     symmetric_representative,
 )
-from bellscan.table import DEGENERATE_ROWS, compute_row
+from bellscan.table import DEGENERATE_ROWS, compute_row, format_table
 from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
 from reference_walks import (
     behavior_of_strategy,
@@ -159,6 +160,13 @@ def report(criterion: str, failures: list):
 def table_rows():
     """One pipeline pass per catalog entry, shared by criteria 4-6."""
     return {name: compute_row(name, seed=SEED) for name in PRIMARY_NAMES}
+
+
+def test_printed_rows_match_the_committed_csv(table_rows):
+    # every printed cell of the fixture's rows; a change that moves one on
+    # purpose updates the file and states its reason
+    printed = format_table([table_rows[name] for name in PRIMARY_NAMES], "csv")
+    assert printed == (Path(__file__).parent / "acceptance_rows_seed0.csv").read_text()
 
 
 def random_functional(rng, scenario, lo=-3, hi=3):

@@ -5,7 +5,12 @@ import pytest
 
 from bellscan.catalog import catalog_get
 from bellscan.cli import main
-from bellscan.core import parse_functional, serialize_functional
+from bellscan.core import (
+    BellFunctional,
+    functional_to_json,
+    parse_functional,
+    serialize_functional,
+)
 from bellscan.quantum import seesaw_maximize
 from bellscan.robustness import eta_threshold_asymmetric
 
@@ -26,6 +31,35 @@ def test_bound_fraction_formatting(capsys):
     code, out, _ = run_cli(capsys, "bound", "--name", "I4422_7")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_bound_past_the_strategy_guard_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "big.bell"
+    path.write_text(serialize_functional(
+        BellFunctional.build([0] * 13, [0] * 13, [[0] * 13] * 13, 0)))
+    code, out, err = run_cli(capsys, "bound", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "scoring 2^26 strategies exceeds the guard" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alice_marg", [0.9, 0], "coefficient must be an integer, got 0.9"),
+    ("bob_marg", [-1, True], "coefficient must be an integer, got True"),
+    ("bound", {"num": 2.5, "den": 1}, "bound numerator must be an integer"),
+    ("bound", {"num": 0, "den": 0}, "bound denominator must be nonzero"),
+    ("scenario", {"ma": "x", "mb": 2}, "m_a must be an integer"),
+])
+def test_json_file_with_a_non_integer_is_usage_error(tmp_path, capsys, field, value,
+                                                     message):
+    obj = functional_to_json(catalog_get("CHSH").functional)
+    obj[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "canon", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_unknown_name_is_usage_error(capsys):

@@ -135,6 +135,28 @@ def test_roundtrip_whole_catalog():
         assert obj["name"] == entry.name
 
 
+@pytest.mark.parametrize("path, value", [
+    (("alice_marg", 0), 0.9),
+    (("corr", 1, 0), 1.0),
+    (("bob_marg", 1), True),
+    (("bound", "num"), 2.5),
+    (("bound", "den"), False),
+    (("scenario", "ma"), "x"),
+    (("scenario", "mb"), 2.0),
+    (("bound", "den"), 0),
+])
+def test_json_rejects_values_that_are_not_integers(path, value):
+    # a float, boolean or string must neither load as a truncated functional
+    # nor escape as an error other than StructuralError
+    obj = functional_to_json(catalog_get("CHSH").functional)
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    with pytest.raises(StructuralError):
+        functional_from_json(obj)
+
+
 def test_parse_bound_field():
     text = """
     # a bound given as a fraction

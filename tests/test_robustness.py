@@ -1,15 +1,16 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellscan import table
-from bellscan.catalog import catalog_get
+from bellscan.catalog import PRIMARY_NAMES, catalog_get
 from bellscan.core import BellFunctional, StructuralError, evaluate
 from bellscan import quantum
-from bellscan.polytope import _bits
+from bellscan.polytope import _bits, local_bound
 from bellscan.quantum import (
     _coefficient_arrays,
     _seesaw_batch,
@@ -23,6 +24,7 @@ from bellscan.robustness import (
     DetectionModel,
     _detected_max,
     _eta_at_maximal_entanglement,
+    _quadratic_at_maximal_entanglement,
     detected_behavior,
     eta_threshold_asymmetric,
     eta_threshold_symmetric,
@@ -30,6 +32,7 @@ from bellscan.robustness import (
     noise_threshold,
 )
 from mixed_state import noisy_value
+from noclick_oracle import bit_algebra, eta_from_bit_algebra
 
 ETA_CHSH = 2 / (math.sqrt(2) + 1)
 
@@ -201,6 +204,55 @@ def test_eta_symmetric_closed_form_is_witnessed(name):
     assert r.eta == pytest.approx(bisected_eta(f), abs=1e-4)
     if name == "CHSH":
         assert r.eta == pytest.approx(chsh_eta_at_margin(), abs=1e-12)
+
+
+def assert_closed_form_matches_bit_algebra(f, best, *, witnessed=True):
+    """The strategy-table quadratic and its threshold against the term-by-term
+    oracle; a witnessed optimum's model and bits must beat the bound."""
+    det, b, d = _quadratic_at_maximal_entanglement(f, best.value)
+    det_ref, b_ref, d_ref = bit_algebra(f, best.value)
+    assert det.tolist() == det_ref.tolist()
+    assert np.abs(b - b_ref).max() <= 1e-12
+    assert np.abs(d - d_ref).max() <= 1e-12
+    r = _eta_at_maximal_entanglement(f, best)
+    eta = eta_from_bit_algebra(f, best.value, float(f.bound) + _VIOLATION_MARGIN)
+    if eta is None:
+        assert r is None
+        return
+    assert abs(r.eta - eta) <= 1e-15
+    if witnessed:
+        detection = DetectionModel(r.eta, r.eta, r.noclick_a, r.noclick_b)
+        value = float(evaluate(f, detected_behavior(model_behavior(r.model), detection)))
+        assert value > float(f.bound)
+
+
+def test_closed_form_matches_bit_algebra_on_the_table():
+    for name in PRIMARY_NAMES:
+        if name in table.DEGENERATE_ROWS:
+            continue
+        f = catalog_get(name).functional
+        best = seesaw_maximize(f, restarts=8, seed=1, theta=math.pi / 4)
+        assert best.value > float(f.bound) + _VIOLATION_MARGIN
+        assert_closed_form_matches_bit_algebra(f, best)
+
+
+def test_closed_form_matches_bit_algebra_on_random_functionals():
+    # random tables do not violate at pi/4, so past their own see-saw optimum
+    # the quadratics are also compared at values above the bound; m_a != m_b
+    # tells Alice's strategy axis from Bob's
+    rng = random.Random(11)
+    for m_a, m_b in ((1, 1), (2, 3), (4, 3), (4, 4)):
+        for k in range(10):
+            f = BellFunctional.build(
+                [rng.randint(-3, 3) for _ in range(m_a)],
+                [rng.randint(-3, 3) for _ in range(m_b)],
+                [[rng.randint(-3, 3) for _ in range(m_b)] for _ in range(m_a)], 0)
+            f = replace(f, bound=local_bound(f))
+            best = seesaw_maximize(f, restarts=2, seed=k, theta=math.pi / 4)
+            assert_closed_form_matches_bit_algebra(f, best)
+            for above in (0.125, 1.0):
+                assert_closed_form_matches_bit_algebra(
+                    f, replace(best, value=float(f.bound) + above), witnessed=False)
 
 
 def _count_table_calls(monkeypatch):
