@@ -204,7 +204,8 @@ def _cmd_qmax(args) -> int:
     payload = {"name": name, "value": res.value, "violation": res.violation,
                "theta_max_over_pi": res.theta_max / math.pi,
                "restarts": res.restarts_used, "sweeps": res.sweeps,
-               "row_sweeps": res.row_sweeps, "converged": res.converged}
+               "row_sweeps": res.row_sweeps, "converged": res.converged,
+               "accepted": res.accepted}
     _emit(payload, args, [
         f"value: {res.value:.6f}",
         f"violation: {res.violation:.6f}",

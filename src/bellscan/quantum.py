@@ -28,27 +28,40 @@ free row keeps psi in the frame its effects live in, with Omega_ij =
 (Alice) and 4 Omega[0, :] (Bob) in place of the Schmidt ones.  Only its
 output is put in Schmidt form: the local unitaries fold into the
 measurements as SO(3) rotations of the Bloch vectors.  Every step is an
-exact block maximum, so the value never decreases; seeded random restarts
-run batched and share one correlation table (marginal coefficients may
-differ per row).  A batch takes theta = None (free: each row draws its
-starting angle) or one float; a row's state, returned and accepted as a
-warm start, is its effect coordinates xa, xb and, at free theta, its
-Schmidt angle.  The sweep cap is _MAX_SWEEPS unless a caller sets another.
+exact block maximum, so a plain sweep F (`_sweep`) never lowers the value;
+seeded random restarts run batched and share one correlation table
+(marginal coefficients may differ per row).  A batch takes theta = None
+(free: each row draws its starting angle) or one float; a row's state,
+returned and accepted as a warm start, is its effect coordinates xa, xb
+and, at free theta, its Schmidt angle.
+
+F is a monotone fixed-point map, like EM, and plain sweeps creep where it
+contracts slowly, so rank-1 rows run guarded SQUAREM cycles (Varadhan &
+Roland, Scand. J. Stat. 35, 335, 2008) on Bob's effects x.  A cycle takes
+x1 = F(x0) and x2 = F(x1), r = x1 - x0 and v = x2 - 2 x1 + x0, and the
+step alpha = -|r| / |v| per row, clamped to [-1e3, -1] (-1 when v = 0).
+It renormalizes the Bloch vectors of x0 - 2 alpha r + alpha^2 v (a row
+where one vanishes takes x2) and applies F once more, from x2's state psi
+at free theta.  The row keeps that x3 if its value is at least x2's and
+x2 otherwise, so the value still never falls.  Rows with degenerate
+effects allowed run one plain sweep per cycle.  The cap, _MAX_SWEEPS
+unless a caller sets another, and every sweep count are map evaluations.
 
 No product sums across rows: each is stacked per row (np.matmul over the
 batch axis), since one GEMM over the batch rounds differently with the
-batch size.  A row stops after the first sweep that moves its value by
+batch size.  A row stops after the first cycle that moves its value by
 less than 1e-10 (_TOL), so its trajectory does not depend on its batch.
 At fixed theta a sweep's value is Alice's marginal term plus the sum of
 Bob's per-setting block maxima.  A decision call ("does some row beat this
-target?") stops after the first sweep in which a row exceeds the target.
-It also stops a row once the row could not reach the target even if it
-gained _REACH times its last gain in every sweep left under the cap.  A
-"no" batch therefore ends with its last row that might still reach the
-target, not at the cap.  Each row's value is its full run's at its own
-sweep count, and it can only rise, so a row above the target is above it
-in the full run too.  A row stopped by the reach rule might still have
-crossed the target; that part is a heuristic, not a proof.
+target?") stops after the first evaluation in which a row exceeds the
+target.  It also stops a row, at the end of a cycle, once the row could
+not reach the target even if it gained _REACH times that cycle's gain in
+every cycle left under the cap.  A "no" batch therefore ends with its last
+row that might still reach the target, not at the cap.  Each row's value
+is its full run's at its own evaluation count, and it can only rise, so a
+row above the target is above it in the full run too.  A row stopped by
+the reach rule might still have crossed the target; that part is a
+heuristic, not a proof.
 """
 
 from __future__ import annotations
@@ -84,11 +97,12 @@ _PAULI = np.array([
 ], dtype=complex)
 # row 4i + j holds sigma_i (x) sigma_j, flattened: the Bell operator is T.ravel() @ it
 _PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", _PAULI, _PAULI).reshape(16, 16)
-_TOL = 1e-10  # a sweep that moves a row's value by less ends that row
-# a decision row stops once even this many times its last gain, for every
-# sweep left under the cap, would leave it below the target
+_TOL = 1e-10  # a cycle that moves a row's value by less ends that row
+# a decision row stops once even this many times its last cycle's gain, for
+# every cycle left under the cap, would leave it below the target
 _REACH = 10.0
-_MAX_SWEEPS = 500  # sweep cap of a see-saw batch, unless its caller sets one
+_MAX_SWEEPS = 500  # evaluation cap of a see-saw batch, unless its caller sets one
+_ALPHA_MAX = 1e3  # SQUAREM steps are clamped to alpha in [-_ALPHA_MAX, -1]
 
 
 @dataclass(frozen=True)
@@ -137,9 +151,10 @@ class QuantumResult:
     theta_max: float
     model: QubitModel
     restarts_used: int
-    sweeps: int          # sweeps the batch ran (its slowest restart)
-    row_sweeps: int      # sweeps summed over restarts
+    sweeps: int          # map evaluations the batch ran (its slowest restart)
+    row_sweeps: int      # map evaluations summed over restarts
     converged: int       # restarts stopped by _TOL, not by _MAX_SWEEPS
+    accepted: int        # cycles that kept their SQUAREM trial point, over restarts
     history: tuple[tuple[float, ...], ...] | None = None
 
 
@@ -320,11 +335,67 @@ def _schmidt_form(psi, xa, xb):
     return theta, xa, xb
 
 
+def _sweep(s, C, table, allow_degenerate):
+    """One plain see-saw sweep, the map F that a batch iterates, on the
+    rows' state s: Alice's block maximum against her field s["fa"], Bob's
+    against her new effects and, with a free state (s holds psi), the
+    state's.  s holds each row's halved MA and MB, its effects xa and xb,
+    fa and value, and the field kernels ka, kb and marginal vectors ua, ub:
+    per row with a free state, shared at fixed theta (ua = ub = wc).
+    Returns the new state, with Alice's field for the next sweep and the
+    new values; s itself is left as it was."""
+    MA, MB = s["MA"], s["MB"]
+    xa, _ = _best_effects(s["fa"], allow_degenerate)
+    xb, b_best = _best_effects(_field(MB, xa, s["kb"], s["ub"]), allow_degenerate)
+    new = {**s, "xa": xa, "xb": xb}
+    if "psi" in s:
+        new["psi"] = _state_step(MA, MB, C, xa, xb)
+        new["ka"], new["kb"], new["ua"], new["ub"] = _state_kernels(table, new["psi"])
+        new["fa"] = _field(MA, xb, new["ka"], new["ua"])
+        new["values"] = _value(xa, new["fa"], MB, xb, new["ub"])
+    else:
+        new["fa"] = _field(MA, xb, s["ka"], s["ua"])
+        new["values"] = _marginal(MA, xa, s["ua"]) + b_best.sum(axis=1)
+    return new
+
+
+def _row_norm(d):
+    """Each row's Euclidean norm over all its (n, m, 4) effect coordinates,
+    squared and summed coordinate by coordinate as in _best_effects."""
+    sq = d * d
+    return np.sqrt((((sq[..., 0] + sq[..., 1]) + sq[..., 2]) + sq[..., 3]).sum(axis=1))
+
+
+def _squarem_point(x0, x1, x2):
+    """SQUAREM trial point of rank-1 effects x0, x1 = F(x0), x2 = F(x1):
+    x0 - 2 alpha r + alpha^2 v with r = x1 - x0, v = x2 - 2 x1 + x0 and
+    alpha = -|r| / |v| per row, clamped to [-1e3, -1] (-1 where v = 0,
+    which gives x2), with its Bloch vectors renormalized.  A row with a
+    vanishing Bloch vector gets x2 instead.  No division can warn."""
+    r = x1 - x0
+    v = (x2 - x1) - r
+    rn, vn = _row_norm(r), _row_norm(v)
+    # a nonzero vn is at least the root of the least subnormal, so rn / vn
+    # stays finite
+    alpha = -np.minimum(np.maximum(rn / np.where(vn > 0.0, vn, np.inf), 1.0), _ALPHA_MAX)
+    alpha = alpha[:, None, None]
+    trial = x0 - alpha * (2.0 * r - alpha * v)
+    sq = trial * trial
+    norm = np.sqrt((sq[..., 1] + sq[..., 2]) + sq[..., 3])
+    unit = norm > 1e-300
+    trial /= np.where(unit, norm, np.inf)[..., None]
+    trial[..., 0] = _PROJ
+    if unit.all():  # the common case, where no row falls back
+        return trial
+    return np.where(unit.all(axis=1)[:, None, None], trial, x2)
+
+
 def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
                   rng=None, init=None, max_sweeps=None, record=False, target=None):
     """Run one batched see-saw; returns each row's final state (`values`,
-    `theta` and the effect coordinates `xa`, `xb`), its sweeps (`row_sweeps`)
-    and whether it stopped on _TOL (`converged`).
+    `theta` and the effect coordinates `xa`, `xb`), its map evaluations
+    (`row_sweeps`), whether it stopped on _TOL (`converged`) and how many of
+    its cycles kept their trial point (`accepted`).
 
     theta=None optimizes the state from Schmidt angles drawn from `rng`
     (before the Bloch vectors); a float fixes it.  A free row carries its
@@ -333,14 +404,25 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
     end.  MA (n, m_a) and MB (n, m_b) may differ per row; C (m_a, m_b) is
     shared.  `init` replaces the random start of rows init["rows"] by
     init["xa"], init["xb"] and, at free theta, init["theta"] (a Schmidt
-    angle, with xa and xb in its frame).  The cap is _MAX_SWEEPS unless
-    `max_sweeps` is given.  A row freezes after the first sweep that moves
-    its value by less than _TOL, so its trajectory does not depend on the
-    other rows.  A target (scalar or per row) ends the run after the first
-    sweep in which some row's value exceeds it.  With a target, a row also
-    leaves once value + _REACH * max(gain, 0) * (sweeps left) stays below
-    its target.  Such a row keeps its value, which equals its full run's
-    value at that sweep count; it is not marked converged.
+    angle, with xa and xb in its frame).
+
+    The batch runs in cycles.  With degenerate effects allowed a cycle is
+    one plain sweep F (`_sweep`).  With rank-1 effects it is a guarded
+    SQUAREM cycle on Bob's effects x: x1 = F(x0), x2 = F(x1), then F of the
+    trial point `_squarem_point(x0, x1, x2)`, kept only if its value is at
+    least that of x2 (else the row keeps x2), so the value never falls.
+    The trial sweep takes a free row's state psi, and its kernels, from
+    x2.  The cap, _MAX_SWEEPS unless `max_sweeps` is given, and
+    `row_sweeps` count map evaluations, three per rank-1 cycle.  A row
+    freezes after the first cycle that moves its value by less than _TOL,
+    so its trajectory does not depend on the other rows.  A target (scalar
+    or per row) ends the run after the first evaluation in which some
+    row's value exceeds it.  With a target, a row also leaves at the end
+    of a cycle once value + _REACH * max(gain, 0) * (cycles left) stays
+    below its target, with the cycle's gain and (cap - evaluations) / (its
+    evaluations per cycle) cycles left.  Such a row keeps its value, which
+    equals its full run's value at that evaluation count; it is not marked
+    converged.
     """
     C = np.ascontiguousarray(C, dtype=float)
     MA, MB = (np.asarray(M, dtype=float) / 2.0 for M in (MA, MB))  # halved from here on
@@ -358,67 +440,76 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
         if free:
             theta[rows] = init["theta"]
     table = _kron_table(C)
+    s = {"live": np.arange(n), "MA": MA, "MB": MB, "xa": xa, "xb": xb,
+         "target": np.broadcast_to(np.inf if target is None else target, (n,))}
     if free:  # a row's state is psi in the frame of its effects
-        psi = np.zeros((n, 4), dtype=complex)
-        psi[:, 0], psi[:, 3] = np.cos(theta), np.sin(theta)
-        ka, kb, ua, ub = _state_kernels(table, psi)
+        s["psi"] = np.zeros((n, 4), dtype=complex)
+        s["psi"][:, 0], s["psi"][:, 3] = np.cos(theta), np.sin(theta)
+        s["ka"], s["kb"], s["ua"], s["ub"] = _state_kernels(table, s["psi"])
+        shared = ()
     else:  # one Schmidt state, shared by all rows
-        omega, ua = _omega(theta[:1], w)
-        ka, kb = _kernels(table, omega)
-        ub = ua
-    fa = _field(MA, xb, ka, ua)  # Alice's field, ready for the next sweep
-    values = _value(xa, fa, MB, xb, ub)
-    out = {"values": values, "theta": theta, "xa": xa, "xb": xb,
-           "row_sweeps": np.zeros(n, dtype=np.int64), "converged": np.zeros(n, dtype=bool)}
-    if free:
-        out["psi"] = psi
-    history = [values.copy()] if record else None
+        omega, s["ua"] = _omega(theta[:1], w)
+        s["ka"], s["kb"] = _kernels(table, omega)
+        s["ub"] = s["ua"]
+        shared = ("ka", "kb", "ua", "ub")
+    s["fa"] = _field(MA, xb, s["ka"], s["ua"])  # Alice's field, ready for the next sweep
+    s["values"] = _value(xa, s["fa"], MB, xb, s["ub"])
+    saved = ("values", "xa", "xb") + (("psi",) if free else ())
+    out = {**{k: s[k] for k in saved}, "values": s["values"].copy(), "theta": theta,
+           "row_sweeps": np.zeros(n, dtype=np.int64), "converged": np.zeros(n, dtype=bool),
+           "accepted": np.zeros(n, dtype=np.int64)}
+    history = [out["values"].copy()] if record else None
     decide = target is not None
-    target = np.broadcast_to(np.inf if target is None else target, (n,))
-    live = np.arange(n)  # the arrays below hold the live rows only
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        xa, _ = _best_effects(fa, allow_degenerate)
-        xb, b_best = _best_effects(_field(MB, xa, kb, ub), allow_degenerate)
-        if free:
-            psi = _state_step(MA, MB, C, xa, xb)
-            ka, kb, ua, ub = _state_kernels(table, psi)
-            fa = _field(MA, xb, ka, ua)
-            new_values = _value(xa, fa, MB, xb, ub)
-        else:
-            fa = _field(MA, xb, ka, ua)
-            new_values = _marginal(MA, xa, ua) + b_best.sum(axis=1)
-        gain = new_values - values
-        done = np.abs(gain) < _TOL
-        values = new_values
-        stop = sweeps == max_sweeps or bool((values > target).any())
-        if stop:
-            leave = np.ones_like(done)
-        elif decide:
-            reach = _REACH * np.maximum(gain, 0.0) * (max_sweeps - sweeps)
-            leave = done | (values + reach < target)
-        else:
-            leave = done
-        if leave.any():
-            rows = live[leave]
-            for key, arr in zip(("values", "xa", "xb"), (values, xa, xb)):
-                out[key][rows] = arr[leave]
-            out["row_sweeps"][rows] = sweeps
-            out["converged"][rows] = done[leave]
-            keep = ~leave
-            live, MA, MB, target, values, xa, xb, fa = (
-                a[keep] for a in (live, MA, MB, target, values, xa, xb, fa))
-            if free:  # fixed-theta kernels are shared, not per row
-                out["psi"][rows] = psi[leave]
-                psi, kb, ub = psi[keep], kb[keep], ub[keep]
+    cycle = 1 if allow_degenerate else 3  # map evaluations per cycle
+    evals = 0
+    for evals in range(1, max_sweeps + 1):
+        phase = (evals - 1) % cycle
+        if phase == 0:
+            v0, x0 = s["values"], s["xb"]
+        elif phase == 1:
+            x1 = s["xb"]
+        if phase < 2:
+            s = _sweep(s, C, table, allow_degenerate)
+        else:  # the trial sweep from the extrapolated x, guarded against x2
+            xt = _squarem_point(x0, x1, s["xb"])
+            t = _sweep({**s, "xb": xt, "fa": _field(s["MA"], xt, s["ka"], s["ua"])},
+                       C, table, allow_degenerate)
+            kept = t["values"] >= s["values"]
+            back = np.flatnonzero(~kept)  # rows that keep x2
+            for k, v in s.items():
+                if t[k] is not v:  # not passed through (MA, MB, shared kernels)
+                    t[k][back] = v[back]
+            out["accepted"][s["live"]] += kept
+            s = t
+        values = s["values"]
+        stop = evals == max_sweeps or bool((values > s["target"]).any())
+        end = phase == cycle - 1
+        if stop or end:
+            gain = values - v0  # over the cycle so far
+            done = np.abs(gain) < _TOL if end else np.zeros(len(values), dtype=bool)
+            if stop:
+                leave = np.ones_like(done)
+            elif decide:
+                reach = _REACH * np.maximum(gain, 0.0) * ((max_sweeps - evals) / cycle)
+                leave = done | (values + reach < s["target"])
+            else:
+                leave = done
+            if leave.any():
+                rows = s["live"][leave]
+                for key in saved:
+                    out[key][rows] = s[key][leave]
+                out["row_sweeps"][rows] = evals
+                out["converged"][rows] = done[leave]
+                keep = ~leave
+                s = {k: v if k in shared else v[keep] for k, v in s.items()}
         if record:
-            out["values"][live] = values
+            out["values"][s["live"]] = s["values"]
             history.append(out["values"].copy())
-        if not live.size:
+        if not s["live"].size:
             break
     if free:
         out["theta"], out["xa"], out["xb"] = _schmidt_form(out.pop("psi"), out["xa"], out["xb"])
-    return {**out, "history": history, "sweeps": sweeps}
+    return {**out, "history": history, "sweeps": evals}
 
 
 def _model_from_row(state, row: int) -> QubitModel:
@@ -461,10 +552,11 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
                     theta: float | None = None, allow_degenerate: bool = False,
                     record_history: bool = False) -> QuantumResult:
     """Best raw value of I over `restarts` seeded see-saw runs of at most
-    _MAX_SWEEPS sweeps.
+    _MAX_SWEEPS map evaluations.
 
     theta=None optimizes the Schmidt angle; a float fixes it.  The returned
-    value is the maximum of I itself, not I minus the bound.
+    value is the maximum of I itself, not I minus the bound.  With
+    `record_history` each run's value after every evaluation is returned.
     """
     if theta is not None and not 0.0 <= theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside [0, pi/4]")
@@ -486,5 +578,6 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
         sweeps=state["sweeps"],
         row_sweeps=int(state["row_sweeps"].sum()),
         converged=int(state["converged"].sum()),
+        accepted=int(state["accepted"].sum()),
         history=history,
     )

@@ -43,18 +43,22 @@ inner maximization runs one batched see-saw over all no-click
 assignments times restarts, warm started from the previous bisection
 step.  Every bisection stops at width 1e-5.  A bisection step only asks
 whether some measurement choice beats the bound plus the margin, so its
-see-saw stops after the first sweep in which a row does.  Every see-saw
-step is an exact block maximum, so that row's value can only rise, and a
-full run would say "yes" too.  Each row stops when its own value has
-converged, or at 300 sweeps for detection (500 for noise).  It also stops
-once it could not reach the target even at ten times its last gain per
-sweep up to the cap (quantum._REACH).  Stopped rows cost nothing while the
-others run on.  So a step that finds no violation ends with its last row
-that could still find one.  That a full run would also say "no" is
-measured, not proven: on the benchmark's off-centre calls at seeds 1-30,
-every threshold equals that of runs stopped only by convergence or the
-cap.  Each result counts its see-saw batches and their row-sweeps
-(`batches`, `row_sweeps`); a closed form runs one batch.
+see-saw stops after the first sweep in which a row does.  Rank-1 rows run
+guarded SQUAREM cycles (see `quantum`: two plain sweeps, then one from an
+extrapolated point that a row keeps only if it scores at least as well),
+and degenerate rows one plain sweep per cycle.  No see-saw step lowers a
+row's value, so a full run would say "yes" too.  Each row stops when a
+whole cycle moves its value by less than quantum._TOL, or at 300 map
+evaluations for detection (500 for noise).  It also stops, at the end of
+a cycle, once it could not reach the target even at ten times that
+cycle's gain per cycle left under the cap (quantum._REACH).  Stopped rows
+cost nothing while the others run on.  So a step that finds no violation
+ends with its last row that could still find one.  That a full run would
+also say "no" is measured, not proven: on the benchmark's off-centre
+calls at seeds 1-10, every threshold equals that of runs stopped only by
+convergence or the cap.  Each result counts its see-saw batches and their
+map evaluations summed over rows (`batches`, `row_sweeps`); a closed form
+runs one batch.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class NoiseResult:
     theta: float
     model: QubitModel
     batches: int      # see-saw batches run, the closed form's one included
-    row_sweeps: int   # their sweeps summed over rows
+    row_sweeps: int   # their map evaluations summed over rows
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ class DetectionResult:
     noclick_a: tuple[int, ...]
     noclick_b: tuple[int, ...]
     batches: int      # see-saw batches run, the closed form's one included
-    row_sweeps: int   # their sweeps summed over rows
+    row_sweeps: int   # their map evaluations summed over rows
 
 
 def noise_floor(f: BellFunctional) -> Fraction:
@@ -229,7 +233,7 @@ def detected_behavior(p: Behavior, d: DetectionModel) -> Behavior:
 def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
                   warm, allow_degenerate, target=None):
     """Max of I over measurements and no-click assignments, at most
-    _ETA_SWEEPS sweeps per row: (value, assignment, model, warm start for
+    _ETA_SWEEPS map evaluations per row: (value, assignment, model, warm start for
     the next call, row-sweeps).  The detected value is const + I_eff(p) on
     the undetected behavior p.
 

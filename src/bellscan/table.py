@@ -10,8 +10,10 @@ other row uses rank-1 projectors throughout.
 
 A rank-1 row runs two see-saws: the free one gives the violation, the
 angle and w_max; the one at theta = pi/4 gives both w and eta through the
-closed forms in `robustness`.  Only the degenerate row bisects (twice for
-the visibilities, once for eta at `eta_threshold_symmetric`'s defaults).
+closed forms in `robustness`.  Only the degenerate row bisects: for the
+visibility at theta_max, for the one at pi/4 (one bisection serves both
+when theta_max is pi/4 exactly), and for eta at `eta_threshold_symmetric`'s
+defaults.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ def compute_row(name: str, *, seed: int = 0, restarts: int = 50) -> ReportRow:
 
     theta_max = max(qres.theta_max, 1e-9)
     if degenerate:
-        w_max_res = noise_threshold(f, theta_max, allow_degenerate=True,
-                                    restarts=restarts, seed=seed)
         w_res = noise_threshold(f, math.pi / 4, allow_degenerate=True,
                                 restarts=restarts, seed=seed)
+        # at theta_max == pi/4 the two bisections are one seeded call
+        w_max_res = w_res if theta_max == math.pi / 4 else noise_threshold(
+            f, theta_max, allow_degenerate=True, restarts=restarts, seed=seed)
         w_max = w_max_res.w_threshold if w_max_res else None
         w = w_res.w_threshold if w_res else None
         eta_res = eta_threshold_symmetric(f, math.pi / 4, seed=seed,

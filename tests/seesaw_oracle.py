@@ -2,14 +2,15 @@
 and complex 2x2 effects, independent of the engine's effect coordinates.
 The engine's block maxima, free-state updates and values are checked
 against these functions.  It also holds the free-theta sweep in Schmidt
-form, which re-canonicalizes every row's state on every sweep; the
-engine keeps the state in the frame of its effects and is checked
-against it."""
+form, which re-canonicalizes every row's state on every sweep, and a
+loop that iterates the engine's plain sweep alone; the engine keeps
+the state in the frame of its effects and is checked against it."""
 
 import numpy as np
 
-from bellscan.quantum import (_ID, _MAX_SWEEPS, _PROJ, _TOL, _best_effects, _field, _omega,
-                              _schmidt_form, _state_step, _value)
+from bellscan.quantum import (_ID, _MAX_SWEEPS, _PROJ, _TOL, _best_effects, _field, _kron_table,
+                              _omega, _schmidt_form, _state_kernels, _state_step, _sweep,
+                              _value)
 
 _SIGMA = np.array([
     [[0, 1], [1, 0]],
@@ -114,34 +115,66 @@ def _schmidt_step(MA, MB, C, xa, xb):
     return _schmidt_form(_state_step(MA, MB, C, xa, xb), xa, xb)
 
 
-def schmidt_frame_batch(MA, MB, C, init, allow_degenerate):
-    """Free-theta see-saw of the rows init["xa"], init["xb"], init["theta"]
-    with every state put back in Schmidt form after each sweep.  A row stops
-    on the engine's rule (|gain| < _TOL, or the _MAX_SWEEPS cap).  Returns
-    the final `values`, `theta` and `row_sweeps`, and the (n, sweeps + 1)
-    history in which a stopped row keeps its last value."""
-    MA, MB = MA / 2.0, MB / 2.0
-    theta, xa, xb = init["theta"], init["xa"], init["xb"]
+def _schmidt_sweep(s, C, allow_degenerate):
+    """One free sweep of the rows' state s with the state put back in
+    Schmidt form, and the kernels rebuilt from its angle."""
+    MA, MB = s["MA"], s["MB"]
+    xa, _ = _best_effects(s["fa"], allow_degenerate)
+    xb, _ = _best_effects(_field(MB, xa, s["kb"], s["wc"]), allow_degenerate)
+    theta, xa, xb = _schmidt_step(MA, MB, C, xa, xb)
     ka, kb, wc = _schmidt_kernels(C, theta)
     fa = _field(MA, xb, ka, wc)
-    values = _value(xa, fa, MB, xb, wc)
-    out = {"values": values.copy(), "theta": theta.copy(),
-           "row_sweeps": np.zeros(len(values), dtype=np.int64)}
-    history = [values.copy()]
-    live = np.arange(len(values))
+    return {**s, "theta": theta, "xa": xa, "xb": xb, "fa": fa, "kb": kb, "wc": wc,
+            "values": _value(xa, fa, MB, xb, wc)}
+
+
+def _plain_run(sweep, s):
+    """Iterates `sweep` on the rows' state s (a dict of per-row arrays with
+    their `values`); a row stops on the engine's plain rule (|gain| < _TOL,
+    or the _MAX_SWEEPS cap).  Returns each row's final state with its
+    `row_sweeps`, and the (n, sweeps + 1) history in which a stopped row
+    keeps its last value."""
+    out = {k: v.copy() for k, v in s.items()}
+    out["row_sweeps"] = np.zeros(len(s["values"]), dtype=np.int64)
+    history = [s["values"].copy()]
+    live = np.arange(len(s["values"]))
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        xa, _ = _best_effects(fa, allow_degenerate)
-        xb, _ = _best_effects(_field(MB, xa, kb, wc), allow_degenerate)
-        theta, xa, xb = _schmidt_step(MA, MB, C, xa, xb)
-        ka, kb, wc = _schmidt_kernels(C, theta)
-        fa = _field(MA, xb, ka, wc)
-        new_values = _value(xa, fa, MB, xb, wc)
-        keep = (np.abs(new_values - values) >= _TOL) & (sweeps < _MAX_SWEEPS)
-        values = new_values
-        out["values"][live], out["theta"][live], out["row_sweeps"][live] = values, theta, sweeps
+        new = sweep(s)
+        keep = (np.abs(new["values"] - s["values"]) >= _TOL) & (sweeps < _MAX_SWEEPS)
+        for k, v in new.items():
+            out[k][live] = v
+        out["row_sweeps"][live] = sweeps
         history.append(out["values"].copy())
-        live, MA, MB, values, xa, xb, fa, kb, wc = (
-            a[keep] for a in (live, MA, MB, values, xa, xb, fa, kb, wc))
+        live, s = live[keep], {k: v[keep] for k, v in new.items()}
         if not live.size:
             break
     return out, np.stack(history, axis=1)
+
+
+def schmidt_frame_batch(MA, MB, C, init, allow_degenerate):
+    """Free-theta see-saw of the rows init["xa"], init["xb"], init["theta"]
+    with every state put back in Schmidt form after each sweep, run by
+    _plain_run: returns the final state (`values`, `theta`, `row_sweeps`
+    among it) and the history."""
+    MA, MB = MA / 2.0, MB / 2.0
+    ka, kb, wc = _schmidt_kernels(C, init["theta"])
+    fa = _field(MA, init["xb"], ka, wc)
+    s = {"MA": MA, "MB": MB, "theta": init["theta"], "xa": init["xa"], "xb": init["xb"],
+         "fa": fa, "kb": kb, "wc": wc, "values": _value(init["xa"], fa, MB, init["xb"], wc)}
+    return _plain_run(lambda s: _schmidt_sweep(s, C, allow_degenerate), s)
+
+
+def lab_frame_batch(MA, MB, C, init, allow_degenerate):
+    """The same rows iterated by the engine's plain sweep F (quantum._sweep)
+    alone, with no SQUAREM cycle: each row keeps its state psi in the frame
+    of its effects, and only the output `theta` is put in Schmidt form."""
+    psi = np.zeros((len(init["theta"]), 4), dtype=complex)
+    psi[:, 0], psi[:, 3] = np.cos(init["theta"]), np.sin(init["theta"])
+    table = _kron_table(C)
+    s = {"MA": MA / 2.0, "MB": MB / 2.0, "xa": init["xa"], "xb": init["xb"], "psi": psi}
+    s["ka"], s["kb"], s["ua"], s["ub"] = _state_kernels(table, psi)
+    s["fa"] = _field(s["MA"], s["xb"], s["ka"], s["ua"])
+    s["values"] = _value(s["xa"], s["fa"], s["MB"], s["xb"], s["ub"])
+    out, history = _plain_run(lambda s: _sweep(s, C, table, allow_degenerate), s)
+    out["theta"], _, _ = _schmidt_form(out["psi"], out["xa"], out["xb"])
+    return out, history

@@ -136,7 +136,9 @@ def test_qmax_json(capsys):
     assert payload["sweeps"] == full.sweeps
     assert payload["row_sweeps"] == full.row_sweeps
     assert payload["converged"] == full.converged
+    assert payload["accepted"] == full.accepted
     assert 0 <= payload["converged"] <= payload["restarts"]
+    assert 0 < payload["accepted"] <= payload["row_sweeps"] // 3
     assert payload["sweeps"] <= payload["row_sweeps"] <= payload["restarts"] * payload["sweeps"]
 
 

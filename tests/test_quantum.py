@@ -1,11 +1,12 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from bellscan import quantum
-from bellscan.catalog import catalog_get
+from bellscan.catalog import PRIMARY_NAMES, catalog_get
 from bellscan.core import StructuralError, evaluate
 from bellscan.quantum import (
     KIND_ALWAYS_ONE,
@@ -28,12 +29,14 @@ from bellscan.quantum import (
     _random_bloch,
     _schmidt_form,
     _seesaw_batch,
+    _squarem_point,
     _state_step,
     _value,
     model_behavior,
     projector,
     seesaw_maximize,
 )
+from bellscan.table import DEGENERATE_ROWS, _row_seed
 from joint_prob_angles import _joint_prob_angles, _joint_prob_angles_grad
 from mixed_state import noisy_value
 import seesaw_oracle
@@ -176,9 +179,9 @@ DECISION_CASES = (("I4322_2", 0.3, 1.0, False), ("I4422_4", 0.6, 0.7, True),
 
 def _decision_batch(name, theta, w, allow_degenerate, target):
     """A decision run checked against the full run of the same rows: each
-    row returns its own full-run value at its own sweep count, the decision
-    is the full run's, and a row that left early without the batch ending
-    on a crossing met the reach rule.  Returns the decision state."""
+    row returns its own full-run value at its own evaluation count, the
+    decision is the full run's, and a row that left early without the batch
+    ending on a crossing met the reach rule.  Returns the decision state."""
     full, history = _fixed_batch(name, theta, w, allow_degenerate)
     state, _ = _fixed_batch(name, theta, w, allow_degenerate, target=target)
     rows, own = np.arange(len(history)), state["row_sweeps"]
@@ -187,9 +190,13 @@ def _decision_batch(name, theta, w, allow_degenerate, target):
     assert np.array_equal(state["converged"], full["converged"] & (own == full["row_sweeps"]))
     crossed = bool(np.any(state["values"] > target))
     assert crossed == bool(np.any(full["values"] > target))
+    # a row leaves by the reach rule at the end of a cycle, on the cycle's
+    # gain and the cycles left under the default cap of 500 evaluations
     early = (own < full["row_sweeps"]) & ((own < state["sweeps"]) | (not crossed))
-    value, gain = history[rows, own], history[rows, own] - history[rows, own - 1]
-    reach = _REACH * np.maximum(gain, 0.0) * (500 - own)  # 500: the default cap
+    cycle = 1 if allow_degenerate else 3
+    value, gain = history[rows, own], history[rows, own] - history[rows, own - cycle]
+    reach = _REACH * np.maximum(gain, 0.0) * ((500 - own) / cycle)
+    assert np.all(own[early] % cycle == 0)
     assert np.all((value + reach < target)[early])
     return state
 
@@ -306,6 +313,36 @@ def test_rows_run_independently(free, allow_degenerate):
             assert np.array_equal(alone[key][0, :, 0], batch[key][i, :, 0]), key
 
 
+def _batch_invariant(name, free, degenerate):
+    """Checks that each of six rows run alone equals its batch row bit for
+    bit, and that an other rng changes nothing; returns the batch."""
+    MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
+    n = 6
+    rng = np.random.default_rng(11)
+    init = _random_rows(rng, n, MA.size, MB.size, degenerate=degenerate)
+    if free:
+        init["theta"] = rng.uniform(0.0, math.pi / 4, n)
+
+    def run(rows, seed=0):
+        sub = {key: v[rows] for key, v in init.items() if key != "rows"}
+        return _seesaw_batch(np.tile(MA, (len(rows), 1)), np.tile(MB, (len(rows), 1)), C,
+                             theta=None if free else 0.3,
+                             init={"rows": np.arange(len(rows)), **sub},
+                             allow_degenerate=degenerate, rng=np.random.default_rng(seed),
+                             record=True)
+
+    batch = run(np.arange(n))
+    other_rng = run(np.arange(n), seed=1)
+    assert set(other_rng) == set(batch)
+    for key in batch:
+        assert np.array_equal(other_rng[key], batch[key]), key
+    for i in range(n):
+        alone = run(np.array([i]))
+        for key in ("values", "theta", "xa", "xb", "row_sweeps", "converged", "accepted"):
+            assert np.array_equal(alone[key][0], batch[key][i]), key
+    return batch
+
+
 @pytest.mark.parametrize("name", ["I4322_2", "I4422_4"])
 @pytest.mark.parametrize("free", [False, True])
 def test_rows_are_bitwise_batch_invariant(name, free):
@@ -315,29 +352,70 @@ def test_rows_are_bitwise_batch_invariant(name, free):
     # equals its batch row bit for bit.  An init covering every row (xa, xb
     # and, at free theta, theta) is the rows' whole state, so the rng that
     # would draw their random starts changes nothing
-    MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
-    n = 6
-    rng = np.random.default_rng(11)
-    init = _random_rows(rng, n, MA.size, MB.size, degenerate=True)
-    if free:
-        init["theta"] = rng.uniform(0.0, math.pi / 4, n)
+    _batch_invariant(name, free, degenerate=True)
 
-    def run(rows, seed=0):
-        sub = {key: v[rows] for key, v in init.items() if key != "rows"}
-        return _seesaw_batch(np.tile(MA, (len(rows), 1)), np.tile(MB, (len(rows), 1)), C,
-                             theta=None if free else 0.3,
-                             init={"rows": np.arange(len(rows)), **sub},
-                             allow_degenerate=True, rng=np.random.default_rng(seed), record=True)
 
-    batch = run(np.arange(n))
-    other_rng = run(np.arange(n), seed=1)
-    assert set(other_rng) == set(batch)
-    for key in batch:
-        assert np.array_equal(other_rng[key], batch[key]), key
-    for i in range(n):
-        alone = run(np.array([i]))
-        for key in ("values", "theta", "xa", "xb", "row_sweeps", "converged"):
-            assert np.array_equal(alone[key][0], batch[key][i]), key
+@pytest.mark.parametrize("free", [False, True])
+def test_accelerated_rows_are_bitwise_batch_invariant(free):
+    # rank-1 rows run guarded SQUAREM cycles: their step lengths and guards
+    # are per-row too, so a row run alone still equals its batch row bit for
+    # bit, and its value never falls from one map evaluation to the next
+    # (a plain sweep only by rounding)
+    batch = _batch_invariant("I4422_2", free, degenerate=False)
+    history = np.stack(batch["history"], axis=1)
+    assert history.shape[1] == batch["sweeps"] + 1
+    assert np.min(np.diff(history, axis=1)) >= -1e-12
+    assert np.all(batch["accepted"] > 0)
+    assert np.all(batch["accepted"] <= batch["row_sweeps"] // 3)
+
+
+def test_squarem_point_clamps_its_step():
+    # alpha = -|r| / |v| per row, clamped to [-1e3, -1]; v = 0 takes -1,
+    # and alpha = -1 gives x2.  Rows: v = 0, |r| < |v|, |r| / |v| near 1e15,
+    # one in between, and a row whose trial keeps a zero Bloch vector, which
+    # gets x2.  Trial Bloch vectors are unit, and nothing warns
+    rng = np.random.default_rng(2)
+    n, m = 5, 3
+    x0 = np.concatenate([np.ones((n, m, 1)), _random_bloch(rng, (n, m))], axis=-1)
+    r, v = np.zeros_like(x0), np.zeros_like(x0)
+    r[..., 1:] = rng.normal(size=(n, m, 3)) * 1e-2
+    v[..., 1:] = rng.normal(size=(n, m, 3)) * 1e-2
+    v[0] = 0.0
+    r[1] *= 1e-2
+    v[2] = 0.0
+    v[2, 0, 1] = 1e-17  # |v| below rounding: x2 - 2 x1 + x0 keeps only noise
+    v[3] *= 0.1
+    r[4], v[4] = 0.0, 0.0
+    x0[4, 1, 1:] = 0.0
+    x1 = x0 + r
+    x2 = (x1 + r) + v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trial = _squarem_point(x0, x1, x2)
+    rr, vv = x1 - x0, (x2 - 2.0 * x1) + x0
+    rn, vn = (np.sqrt((d * d).reshape(n, -1).sum(axis=1)) for d in (rr, vv))
+    assert vn[0] == 0.0 and rn[1] < vn[1] and rn[2] > 1e3 * vn[2] > 0.0
+    assert 1.0 < rn[3] / vn[3] < 1e3
+    alpha = np.array([-1.0, -1.0, -1e3, -rn[3] / vn[3]])[:, None, None]
+    expect = (x0[:4] - 2.0 * alpha * rr[:4]) + alpha * alpha * vv[:4]
+    expect[..., 1:] /= np.linalg.norm(expect[..., 1:], axis=-1, keepdims=True)
+    assert np.max(np.abs(trial[:4] - expect)) <= 1e-12
+    unit_x2 = x2[:2, :, 1:] / np.linalg.norm(x2[:2, :, 1:], axis=-1, keepdims=True)
+    assert np.max(np.abs(trial[:2, :, 1:] - unit_x2)) <= 1e-12  # alpha = -1 gives x2
+    assert np.all(trial[:4, :, 0] == _PROJ)
+    assert np.array_equal(trial[4], x2[4])
+
+
+def test_no_pi4_table_seesaw_reaches_the_cap():
+    # at the table1 --seed 0 row seeds, the pi/4 see-saw of every rank-1 row
+    # converges on all 50 restarts before the evaluation cap; with plain
+    # sweeps AII2, I4422_16 and I4422_18 crept up to it
+    for i, name in enumerate(PRIMARY_NAMES):
+        if name in DEGENERATE_ROWS:
+            continue
+        res = seesaw_maximize(catalog_get(name).functional, restarts=50,
+                              seed=_row_seed(0, i), theta=math.pi / 4)
+        assert res.sweeps < quantum._MAX_SWEEPS and res.converged == 50, name
 
 
 @pytest.mark.parametrize("allow_degenerate", [False, True])
@@ -453,11 +531,13 @@ def test_schmidt_step_matches_oracle(degenerate):
 def test_lab_frame_matches_schmidt_frame():
     # a free row keeps its state as the Bell operator's top eigenvector in
     # the frame of its effects and is put in Schmidt form only on output;
-    # the same rows swept in Schmidt form, re-canonicalized every sweep,
-    # agree to rounding on every sweep both ran.  Rows start from projectors,
-    # as in seesaw_maximize: a start with identity or zero effects can give
-    # the Bell operator a degenerate top eigenvalue, whose eigenvector, and
-    # so the trajectory, is arbitrary in either frame
+    # the engine's plain sweep F iterated alone and the same rows swept in
+    # Schmidt form, re-canonicalized every sweep, agree to rounding on every
+    # sweep both ran.  Rows start from projectors, as in seesaw_maximize: a
+    # start with identity or zero effects can give the Bell operator a
+    # degenerate top eigenvalue, whose eigenvector, and so the trajectory,
+    # is arbitrary in either frame.  A degenerate batch's cycle is one plain
+    # sweep, so there the engine is the plain run bit for bit
     rng = np.random.default_rng(31)
     for name, degenerate in (("I4422_2", False), ("AII2", False), ("I4422_18", False),
                              ("I4422_4", True)):
@@ -466,13 +546,16 @@ def test_lab_frame_matches_schmidt_frame():
         init = _random_rows(rng, n, MA.size, MB.size, degenerate=False)
         init["theta"] = rng.uniform(0.0, math.pi / 4, n)
         MA, MB = np.tile(MA, (n, 1)), np.tile(MB, (n, 1))
-        lab = _seesaw_batch(MA, MB, C, init=init, allow_degenerate=degenerate,
-                            rng=np.random.default_rng(0), record=True)
+        lab, lab_history = seesaw_oracle.lab_frame_batch(MA, MB, C, init, degenerate)
         schmidt, history = seesaw_oracle.schmidt_frame_batch(MA, MB, C, init, degenerate)
         if degenerate:  # the runs reach identity or zero effects
             assert np.any(lab["xa"][..., 0] != _PROJ) or np.any(lab["xb"][..., 0] != _PROJ)
+            engine = _seesaw_batch(MA, MB, C, init=init, allow_degenerate=True,
+                                   rng=np.random.default_rng(0), record=True)
+            assert np.array_equal(np.stack(engine["history"], axis=1), lab_history)
+            for key in ("values", "theta", "row_sweeps"):
+                assert np.array_equal(engine[key], lab[key]), key
         assert np.all(np.abs(lab["row_sweeps"] - schmidt["row_sweeps"]) <= 1), name
-        lab_history = np.stack(lab["history"], axis=1)
         for row in range(n):
             both = 1 + min(lab["row_sweeps"][row], schmidt["row_sweeps"][row])
             assert np.max(np.abs(lab_history[row, :both] - history[row, :both])) <= 1e-12, name

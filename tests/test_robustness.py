@@ -298,13 +298,29 @@ def test_table_row_reads_w_and_eta_from_one_optimum_at_pi_over_4(name, monkeypat
 
 
 def test_table_degenerate_row_bisects(monkeypatch):
-    # I4422_4 needs identity/zero effects, where no closed form holds
-    calls = _count_table_calls(monkeypatch)
-    row = table.compute_row("I4422_4", seed=0, restarts=8)
-    assert [theta for theta, _ in calls["seesaw"]] == [None]
-    assert calls["noise_threshold"] == 2
-    assert calls["eta_threshold_symmetric"] == 1
-    assert row.w is not None and row.eta_symmetric is not None
+    # I4422_4 needs identity/zero effects, where no closed form holds.  Its
+    # visibility bisections at theta_max and at pi/4 are one seeded call
+    # when theta_max is pi/4 exactly (seed 0), and two otherwise (seed 2,
+    # where theta_max is 3e-16 below pi/4)
+    for seed, noise_calls in ((0, 1), (2, 2)):
+        calls = _count_table_calls(monkeypatch)
+        row = table.compute_row("I4422_4", seed=seed, restarts=8)
+        assert [theta for theta, _ in calls["seesaw"]] == [None]
+        assert (calls["seesaw"][0][1].theta_max == math.pi / 4) == (noise_calls == 1)
+        assert calls["noise_threshold"] == noise_calls
+        assert calls["eta_threshold_symmetric"] == 1
+        assert row.w is not None and row.eta_symmetric is not None
+        if noise_calls == 1:
+            assert row.w_max == row.w
+
+
+def test_eta_matches_the_table_row_on_i4422_18():
+    # eta at its default 8 restarts and the table1 --seed 0 row (50
+    # restarts at the row's own seed) reach the same pi/4 optimum, so the
+    # two closed-form thresholds agree far below the printed 4 decimals
+    f = catalog_get("I4422_18").functional
+    row = table.compute_table(["I4422_18"], seed=0)[0]
+    assert abs(eta_threshold_symmetric(f, seed=0).eta - row.eta_symmetric) <= 1e-9
 
 
 def test_table_starts_at_most_one_worker_per_row(monkeypatch):
