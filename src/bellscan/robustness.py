@@ -9,10 +9,10 @@ contributes the measurement-independent value
 so I(rho_w) = w Q(theta) + (1-w) N is linear in w and the visibility
 threshold is the closed form w* = (bound - N) / (Q(theta) - N).  With
 degenerate measurements allowed the noise term depends on the chosen
-effects, so the threshold is found by bisection, re-optimizing the
-measurements at each visibility (the optimized value is convex in w, so
-the violating set is an interval ending at w = 1).  The bisection's own
-step at w = 1 decides whether the state violates at all.
+effects, so the threshold comes from the root-finder below, re-optimizing
+the measurements at each visibility (the optimized value is convex in w,
+so the violating set is an interval ending at w = 1).  Its first step, at
+w = 1, decides whether the state violates at all.
 
 Detection model: each party holds a deterministic no-click assignment
 (bit 1 = output "0" on non-detection).  The detected behavior is an affine
@@ -36,26 +36,50 @@ witness a violation there.  Both closed forms, w* and this eta, read one
 fixed-theta see-saw optimum for Q(pi/4); a caller that already holds that
 optimum (the benchmark table does) passes it on instead of re-running it.
 
-Elsewhere (theta < pi/4, degenerate effects, or the one-sided eta_B)
-thresholds are bisected on the efficiency; monotonicity holds because a
-party can always discard detections to simulate a lower efficiency.  The
-inner maximization runs one batched see-saw over all no-click
-assignments times restarts, warm started from the previous bisection
-step.  Every bisection stops at width 1e-5.  A bisection step only asks
-whether some measurement choice beats the bound plus the margin, so its
-see-saw stops after the first sweep in which a row does.  Rank-1 rows run
-guarded SQUAREM cycles (see `quantum`: two plain sweeps, then one from an
-extrapolated point that a row keeps only if it scores at least as well),
-and degenerate rows one plain sweep per cycle.  No see-saw step lowers a
-row's value, so a full run would say "yes" too.  Each row stops when a
-whole cycle moves its value by less than quantum._TOL, or at 300 map
-evaluations for detection (500 for noise).  It also stops, at the end of
-a cycle, once it could not reach the target even at ten times that
-cycle's gain per cycle left under the cap (quantum._REACH).  Stopped rows
-cost nothing while the others run on.  So a step that finds no violation
-ends with its last row that could still find one.  That a full run would
-also say "no" is measured, not proven: on the benchmark's off-centre
-calls at seeds 1-10, every threshold equals that of runs stopped only by
+Elsewhere (theta < pi/4, degenerate effects, or the one-sided eta_B) a
+threshold p (w, or the efficiency) comes from one witnessed root-finder
+from above, Newton/Dinkelbach style (Dinkelbach, Management Science 13,
+492, 1967).  The violating set is an interval ending at p = 1: a party can
+always discard detections to simulate a lower efficiency.  A witness is
+a model plus, for detection, its no-click bits.  For a fixed witness the
+value is affine in w and in eta_B, and quadratic in a symmetric eta; it is
+fitted from the witness's values at p = 0, 1/2 and 1, each read through
+`model_behavior`, `detected_behavior` (or the noisy mixture) and
+`core.evaluate`.  The root-finder
+
+  1. runs a decision batch at p = 1 (None if no row beats the bound plus
+     the margin) and takes its best row as the witness;
+  2. moves to the witness's lowest root at the bound plus twice the
+     margin, re-evaluated the same way, so every iterate is witnessed (a
+     root that fails that check, or lies above the point where the
+     witness is known to violate, leaves p there);
+  3. while that root moved by more than 1e-5, runs one capped
+     maximization at it (_POLISH_SWEEPS map evaluations per row, no
+     target, every group's best row as a warm start) for a better
+     witness, and goes back to 2;
+  4. runs a decision batch 1e-5 below the root.  "No" returns the root;
+     "yes" makes its best row the witness there, and goes back to 2.
+
+Each answer thus has a "no" decision 1e-5 below it, as a bisection to
+width 1e-5 has, and lies twice the margin over the witness's slope above
+that witness's root at the bound itself.  The
+batches run one see-saw over all no-click assignments times restarts,
+each warm started from the previous batch's best row per assignment.  A
+decision batch only asks whether some measurement choice beats the bound
+plus the margin, so its see-saw stops after the first sweep in which a
+row does.  Rank-1 rows run guarded SQUAREM cycles (see `quantum`: two
+plain sweeps, then one from an extrapolated point that a row keeps only
+if it scores at least as well), and degenerate rows one plain sweep per
+cycle.  No see-saw step lowers a row's value, so a full run would say
+"yes" too.  Each row stops when a whole cycle moves its value by less
+than quantum._TOL, or at 300 map evaluations for detection (500 for
+noise).  In a decision batch it also stops, at the end of a cycle, once
+it could not reach the target even at ten times that cycle's gain per
+cycle left under the cap (quantum._REACH).  Stopped rows cost nothing
+while the others run on.  So a decision that finds no violation ends with
+its last row that could still find one.  That a full run would also say
+"no" is measured, not proven: on the benchmark's off-centre calls at
+seeds 1-10, every threshold equals that of runs stopped only by
 convergence or the cap.  Each result counts its see-saw batches and their
 map evaluations summed over rows (`batches`, `row_sweeps`); a closed form
 runs one batch.
@@ -69,13 +93,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Behavior, BellFunctional, StructuralError
+from .core import Behavior, BellFunctional, StructuralError, evaluate
 from .polytope import _bits, _strategy_table
 from .quantum import (
+    KIND_ALWAYS_ONE,
+    KIND_ALWAYS_ZERO,
+    KIND_PROJECTOR,
     QuantumResult,
     QubitModel,
     _best_of_groups,
     _coefficient_arrays,
+    model_behavior,
     seesaw_maximize,
 )
 
@@ -93,8 +121,11 @@ __all__ = [
 ]
 
 _VIOLATION_MARGIN = 1e-9
-_BISECTION_WIDTH = 1e-5
+_ROOT_STEP = 1e-5  # each root-finder answer has a "no" decision this far below it
 _ETA_SWEEPS = 300
+_POLISH_SWEEPS = 30  # map evaluations of a capped maximization at a root
+# an effect's probability on the fully mixed state: half its trace
+_MIXED_MARGINAL = {KIND_PROJECTOR: 0.5, KIND_ALWAYS_ZERO: 1.0, KIND_ALWAYS_ONE: 0.0}
 
 
 @dataclass(frozen=True)
@@ -150,24 +181,58 @@ def _visibility_threshold(f: BellFunctional, value: float) -> float | None:
     return (bound - floor) / (value - floor)
 
 
-def _bisect_threshold(violated_at):
-    """Bisect for the smallest p in (0, 1] with violated_at(p) -> (True, info,
-    row_sweeps), one see-saw batch per call.  Returns None when p = 1 does
-    not violate, else (p, its info, batches, row_sweeps summed)."""
-    violated, info, row_sweeps = violated_at(1.0)
-    if not violated:
+def _smallest_roots(det, b, d, target):
+    """Smallest positive root of det + b p + d p^2 = target, elementwise:
+    0 where det already reaches the target, inf where no root exists.  The
+    roots q/d and -gap/q avoid cancellation whatever the signs."""
+    gap = target - det
+    disc = b * b + 4 * d * gap
+    q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b)) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = np.stack([q / d, -gap / q])
+    pair = np.where((pair > 0) & (disc >= 0), pair, np.inf)
+    return np.where(gap <= 0, 0.0, pair.min(axis=0))
+
+
+def _threshold_from_above(search, value, target):
+    """Witnessed root-finder from above for the smallest violating p in
+    (0, 1] (see the module docstring).  search(p, warm, decide) runs one
+    see-saw batch at p, a decision batch or (decide False) a capped
+    maximization, and returns (value > target, witness, warm start for the
+    next batch, row-sweeps), the target being the bound plus the margin;
+    value(witness, p) re-evaluates a witness through the behavior path.
+    Returns None when p = 1 does not violate, else (p, its witness,
+    batches, row-sweeps summed)."""
+    yes, witness, warm, row_sweeps = search(1.0, None, True)
+    if not yes:
         return None
-    lo, hi, batches = 0.0, 1.0, 1
-    while hi - lo > _BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        violated, res, sweeps = violated_at(mid)
+    batches, known = 1, 1.0  # the witness beats the target at `known`
+    while True:
+        v0, vh, v1 = (value(witness, p) for p in (0.0, 0.5, 1.0))
+        root = float(_smallest_roots(v0, 4 * vh - 3 * v0 - v1, 2 * (v1 - 2 * vh + v0),
+                                     target + _VIOLATION_MARGIN))
+        hi = root if root <= known and value(witness, root) > target else known
+        decide = known - hi <= _ROOT_STEP  # the root moved little: settle it
+        p = max(hi - _ROOT_STEP, 0.0) if decide else hi
+        yes, found, warm, sweeps = search(p, warm, decide)
         batches += 1
         row_sweeps += sweeps
-        if violated:
-            hi, info = mid, res
-        else:
-            lo = mid
-    return hi, info, batches, row_sweeps
+        if decide and not yes:
+            return hi, witness, batches, row_sweeps
+        if yes:
+            witness = found
+        known = p
+
+
+def _noisy_behavior(m: QubitModel, w: float) -> Behavior:
+    """Behavior of the model's measurements on w |psi><psi| + (1 - w) 1/4:
+    on the fully mixed part an effect occurs with half its trace."""
+    pure = model_behavior(m)
+    t_a, t_b = ([_MIXED_MARGINAL[x.kind] for x in meas] for meas in (m.alice_meas, m.bob_meas))
+    return Behavior([w * p + (1 - w) * t for p, t in zip(pure.p_a, t_a)],
+                    [w * p + (1 - w) * t for p, t in zip(pure.p_b, t_b)],
+                    [[w * p + (1 - w) * a * b for p, b in zip(row, t_b)]
+                     for row, a in zip(pure.p_ab, t_a)])
 
 
 def noise_threshold(f: BellFunctional, theta: float, *,
@@ -187,19 +252,23 @@ def noise_threshold(f: BellFunctional, theta: float, *,
         return NoiseResult(w_threshold=w, theta=theta, model=best.model,
                            batches=1, row_sweeps=best.row_sweeps)
 
-    # identity effects make the noise term measurement-dependent: bisect,
-    # re-optimizing the measurements at each visibility
+    # identity effects make the noise term measurement-dependent: find the
+    # root from above, re-optimizing the measurements at each visibility
     MA, MB, C = _coefficient_arrays(f)
     target = float(f.bound) + _VIOLATION_MARGIN
     rng = np.random.default_rng(seed)
 
-    def violated_at(w: float):
-        value, _, model, _, state = _best_of_groups(
-            MA[None], MB[None], np.zeros(1), C, restarts=restarts, target=target,
-            theta=theta, w=w, allow_degenerate=True, rng=rng)
-        return value > target, model, int(state["row_sweeps"].sum())
+    def search(w, warm, decide):
+        value, _, model, warm, state = _best_of_groups(
+            MA[None], MB[None], np.zeros(1), C, restarts=restarts, warm=warm,
+            target=target if decide else None, theta=theta, w=w, allow_degenerate=True,
+            rng=rng, max_sweeps=None if decide else _POLISH_SWEEPS)
+        return value > target, model, warm, int(state["row_sweeps"].sum())
 
-    found = _bisect_threshold(violated_at)
+    def value(model, w):
+        return float(evaluate(f, _noisy_behavior(model, w)))
+
+    found = _threshold_from_above(search, value, target)
     if found is None:
         return None
     w, model, batches, row_sweeps = found
@@ -231,13 +300,17 @@ def detected_behavior(p: Behavior, d: DetectionModel) -> Behavior:
 # ---------------------------------------------------------------------------
 
 def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
-                  warm, allow_degenerate, target=None):
+                  warm, allow_degenerate, target=None, max_sweeps=_ETA_SWEEPS):
     """Max of I over measurements and no-click assignments, at most
-    _ETA_SWEEPS map evaluations per row: (value, assignment, model, warm start for
-    the next call, row-sweeps).  The detected value is const + I_eff(p) on
-    the undetected behavior p.
+    `max_sweeps` map evaluations per row: (value, assignment, model, warm
+    start for the next call, row-sweeps).  The detected value is const +
+    I_eff(p) on the undetected behavior p.  `warm` holds one row state per
+    assignment.
 
-    With a target the see-saw stops once some detected value exceeds it."""
+    The root-finder calls it in two ways.  A decision passes a target and
+    the default cap: the see-saw stops once some detected value exceeds
+    the target, and rows that cannot reach it leave early.  A capped
+    maximization at a root passes no target and _POLISH_SWEEPS."""
     csb = sb @ C.T                      # (n, ma): sum_y C[x,y] s_b[y]
     csa = sa @ C                        # (n, mb)
     MA_eff = eta_a * MA[None, :] + eta_a * (1 - eta_b) * csb
@@ -247,7 +320,7 @@ def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
     value, assign, model, warm, state = _best_of_groups(
         MA_eff, MB_eff, const, eta_a * eta_b * C, restarts=restarts, warm=warm,
         target=target, theta=theta, allow_degenerate=allow_degenerate, rng=rng,
-        max_sweeps=_ETA_SWEEPS)
+        max_sweeps=max_sweeps)
     return value, assign, model, warm, int(state["row_sweeps"].sum())
 
 
@@ -258,7 +331,7 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
     ma, mb = f.scenario.m_a, f.scenario.m_b
     MA, MB, C = _coefficient_arrays(f)
-    bound = float(f.bound)
+    target = float(f.bound) + _VIOLATION_MARGIN
     rng = np.random.default_rng(seed)
 
     if symmetric:
@@ -268,24 +341,28 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
         sb = _bits(np.arange(1 << mb), mb).astype(float)
         sa = np.zeros((1 << mb, ma))  # irrelevant at eta_a = 1
 
-    warm = None
+    def efficiencies(eta):
+        return (eta, eta) if symmetric else (1.0, eta)
 
-    def violated_at(eta):
-        nonlocal warm
-        ea, eb = (eta, eta) if symmetric else (1.0, eta)
+    def search(eta, warm, decide):
         value, assign, model, warm, row_sweeps = _detected_max(
-            MA, MB, C, theta, ea, eb, sa, sb, rng=rng, restarts=restarts,
-            warm=warm, allow_degenerate=allow_degenerate,
-            target=bound + _VIOLATION_MARGIN)
-        return value > bound + _VIOLATION_MARGIN, (assign, model), row_sweeps
+            MA, MB, C, theta, *efficiencies(eta), sa, sb,
+            rng=rng, restarts=restarts, warm=warm, allow_degenerate=allow_degenerate,
+            target=target if decide else None,
+            max_sweeps=_ETA_SWEEPS if decide else _POLISH_SWEEPS)
+        bits = tuple(tuple(int(v) for v in s[assign]) for s in (sa, sb))
+        return value > target, (model, *bits), warm, row_sweeps
 
-    found = _bisect_threshold(violated_at)
+    def value(witness, eta):
+        model, noclick_a, noclick_b = witness
+        d = DetectionModel(*efficiencies(eta), noclick_a, noclick_b)
+        return float(evaluate(f, detected_behavior(model_behavior(model), d)))
+
+    found = _threshold_from_above(search, value, target)
     if found is None:
         return None
-    eta, (assign, model), batches, row_sweeps = found
-    noclick_a = tuple(int(v) for v in sa[assign])
-    noclick_b = tuple(int(v) for v in sb[assign])
-    ea, eb = (eta, eta) if symmetric else (1.0, eta)
+    eta, (model, noclick_a, noclick_b), batches, row_sweeps = found
+    ea, eb = efficiencies(eta)
     return DetectionResult(eta=eta, eta_a=ea, eta_b=eb, model=model,
                            noclick_a=noclick_a, noclick_b=noclick_b,
                            batches=batches, row_sweeps=row_sweeps)
@@ -310,17 +387,7 @@ def _eta_at_maximal_entanglement(f: BellFunctional,
     target = float(f.bound) + _VIOLATION_MARGIN
     if best.value <= target:
         return None
-    det, b, d = _quadratic_at_maximal_entanglement(f, best.value)
-    # smallest positive root of d eta^2 + b eta - gap = 0; the roots q/d and
-    # -gap/q avoid cancellation whatever the signs.  gap <= 0 means s
-    # reaches the target already at eta = 0
-    gap = target - det
-    disc = b * b + 4 * d * gap
-    q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b)) / 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pair = np.stack([q / d, -gap / q])
-    pair = np.where((pair > 0) & (disc >= 0), pair, np.inf)
-    roots = np.where(gap <= 0, 0.0, pair.min(axis=0))
+    roots = _smallest_roots(*_quadratic_at_maximal_entanglement(f, best.value), target)
     assign = int(np.argmin(roots))
     eta = min(float(roots[assign]), 1.0)
     ma, mb = f.scenario.m_a, f.scenario.m_b
@@ -338,7 +405,7 @@ def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
 
     At theta = pi/4 with rank-1 effects the threshold is a closed form over
     one see-saw at fixed theta (`restarts` restarts, default sweep cap);
-    otherwise it is bisected."""
+    otherwise it comes from the witnessed root-finder."""
     if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
         best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
         return _eta_at_maximal_entanglement(f, best)

@@ -10,10 +10,10 @@ other row uses rank-1 projectors throughout.
 
 A rank-1 row runs two see-saws: the free one gives the violation, the
 angle and w_max; the one at theta = pi/4 gives both w and eta through the
-closed forms in `robustness`.  Only the degenerate row bisects: for the
-visibility at theta_max, for the one at pi/4 (one bisection serves both
-when theta_max is pi/4 exactly), and for eta at `eta_threshold_symmetric`'s
-defaults.
+closed forms in `robustness`.  Only the degenerate row runs the
+witnessed root-finder of `robustness`: for the visibility at theta_max,
+for the one at pi/4 (one call serves both when theta_max is within 1e-12
+of pi/4), and for eta at `eta_threshold_symmetric`'s defaults.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def compute_row(name: str, *, seed: int = 0, restarts: int = 50) -> ReportRow:
     if degenerate:
         w_res = noise_threshold(f, math.pi / 4, allow_degenerate=True,
                                 restarts=restarts, seed=seed)
-        # at theta_max == pi/4 the two bisections are one seeded call
-        w_max_res = w_res if theta_max == math.pi / 4 else noise_threshold(
+        # at theta_max == pi/4, up to rounding, the two are one seeded call
+        w_max_res = w_res if abs(theta_max - math.pi / 4) <= 1e-12 else noise_threshold(
             f, theta_max, allow_degenerate=True, restarts=restarts, seed=seed)
         w_max = w_max_res.w_threshold if w_max_res else None
         w = w_res.w_threshold if w_res else None

@@ -206,14 +206,15 @@ def test_eta_command(capsys):
 
 
 def test_threshold_json_reports_work(capsys):
-    # a closed form runs one see-saw; a bisection runs one per step, the
-    # step at efficiency 1 and 17 halvings to width 1e-5
+    # a closed form runs one see-saw; the root-finder runs one per step: the
+    # decision at efficiency 1, a capped maximization at each root that moved
+    # by more than 1e-5 (two here) and the decision 1e-5 below the last root
     for argv, batches in ((["noise", "--name", "CHSH", "--theta", "0.25"], 1),
                           (["eta", "--name", "CHSH"], 1),
                           (["noise", "--name", "CHSH", "--theta", "0.2",
-                            "--degenerate", "--restarts", "2"], 18),
+                            "--degenerate", "--restarts", "2"], 4),
                           (["eta-asym", "--name", "CHSH", "--theta", "0.2",
-                            "--inner-restarts", "2"], 18)):
+                            "--inner-restarts", "2"], 4)):
         code, out, _ = run_cli(capsys, *argv, "--seed", "1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
