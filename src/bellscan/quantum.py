@@ -45,7 +45,8 @@ where one vanishes takes x2) and applies F once more, from x2's state psi
 at free theta.  The row keeps that x3 if its value is at least x2's and
 x2 otherwise, so the value still never falls.  Rows with degenerate
 effects allowed run one plain sweep per cycle.  The cap, _MAX_SWEEPS
-unless a caller sets another, and every sweep count are map evaluations.
+(only the threshold root-finder's capped maximization sets a lower one),
+and every sweep count are map evaluations.
 
 No product sums across rows: each is stacked per row (np.matmul over the
 batch axis), since one GEMM over the batch rounds differently with the
@@ -101,7 +102,7 @@ _TOL = 1e-10  # a cycle that moves a row's value by less ends that row
 # a decision row stops once even this many times its last cycle's gain, for
 # every cycle left under the cap, would leave it below the target
 _REACH = 10.0
-_MAX_SWEEPS = 500  # evaluation cap of a see-saw batch, unless its caller sets one
+_MAX_SWEEPS = 500  # evaluation cap of a see-saw batch (robustness._POLISH_SWEEPS aside)
 _ALPHA_MAX = 1e3  # SQUAREM steps are clamped to alpha in [-_ALPHA_MAX, -1]
 
 

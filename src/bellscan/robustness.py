@@ -7,12 +7,13 @@ contributes the measurement-independent value
     N = sum M_A / 2 + sum M_B / 2 + sum C / 4,
 
 so I(rho_w) = w Q(theta) + (1-w) N is linear in w and the visibility
-threshold is the closed form w* = (bound - N) / (Q(theta) - N).  With
-degenerate measurements allowed the noise term depends on the chosen
-effects, so the threshold comes from the root-finder below, re-optimizing
-the measurements at each visibility (the optimized value is convex in w,
-so the violating set is an interval ending at w = 1).  Its first step, at
-w = 1, decides whether the state violates at all.
+threshold is the closed form w* = (bound - N) / (Q(theta) - N), or 0
+when the bound lies below N.  With degenerate measurements allowed the
+noise term depends on the chosen effects, so the threshold comes from the
+root-finder below, re-optimizing the measurements at each visibility (the
+optimized value is convex in w, so the violating set is an interval
+ending at w = 1).  Its first step, at w = 1, decides whether the state
+violates at all.
 
 Detection model: each party holds a deterministic no-click assignment
 (bit 1 = output "0" on non-detection).  The detected behavior is an affine
@@ -57,32 +58,34 @@ fitted from the witness's values at p = 0, 1/2 and 1, each read through
      maximization at it (_POLISH_SWEEPS map evaluations per row, no
      target, every group's best row as a warm start) for a better
      witness, and goes back to 2;
-  4. runs a decision batch 1e-5 below the root.  "No" returns the root;
-     "yes" makes its best row the witness there, and goes back to 2.
+  4. runs a decision batch 1e-5 below the root (at 0 if the root is
+     closer to 0).  "No" returns the root; "yes" at 0 returns 0, since
+     every p violates; any other "yes" makes its best row the witness
+     there, and goes back to 2.
 
-Each answer thus has a "no" decision 1e-5 below it, as a bisection to
-width 1e-5 has, and lies twice the margin over the witness's slope above
-that witness's root at the bound itself.  The
-batches run one see-saw over all no-click assignments times restarts,
-each warm started from the previous batch's best row per assignment.  A
-decision batch only asks whether some measurement choice beats the bound
-plus the margin, so its see-saw stops after the first sweep in which a
-row does.  Rank-1 rows run guarded SQUAREM cycles (see `quantum`: two
-plain sweeps, then one from an extrapolated point that a row keeps only
-if it scores at least as well), and degenerate rows one plain sweep per
-cycle.  No see-saw step lowers a row's value, so a full run would say
-"yes" too.  Each row stops when a whole cycle moves its value by less
-than quantum._TOL, or at 300 map evaluations for detection (500 for
-noise).  In a decision batch it also stops, at the end of a cycle, once
-it could not reach the target even at ten times that cycle's gain per
-cycle left under the cap (quantum._REACH).  Stopped rows cost nothing
-while the others run on.  So a decision that finds no violation ends with
-its last row that could still find one.  That a full run would also say
-"no" is measured, not proven: on the benchmark's off-centre calls at
-seeds 1-10, every threshold equals that of runs stopped only by
-convergence or the cap.  Each result counts its see-saw batches and their
-map evaluations summed over rows (`batches`, `row_sweeps`); a closed form
-runs one batch.
+Each answer above 0 thus has a "no" decision 1e-5 below it, as a
+bisection to width 1e-5 has, and lies twice the margin over the witness's
+slope above that witness's root at the bound itself.  The batches run one
+see-saw over all no-click assignments times restarts, each warm started
+from the previous batch's best row per assignment.  A decision batch only
+asks whether some measurement choice beats the bound plus the margin, so
+its see-saw stops after the first sweep in which a row does.  Rank-1 rows
+run guarded SQUAREM cycles (see `quantum`: two plain sweeps, then one
+from an extrapolated point that a row keeps only if it scores at least as
+well), and degenerate rows one plain sweep per cycle.  No see-saw step
+lowers a row's value, so a full run would say "yes" too.  Each row stops
+when a whole cycle moves its value by less than quantum._TOL, or at the
+cap: the engine's one cap (quantum._MAX_SWEEPS) in a decision batch,
+_POLISH_SWEEPS in a capped maximization.  In a decision batch it also
+stops, at the end of a cycle, once it could not reach the target even at
+ten times that cycle's gain per cycle left under the cap (quantum._REACH).
+Stopped rows cost nothing while the others run on.  So a decision that
+finds no violation ends with its last row that could still find one.
+That a full run would also say "no" is measured, not proven: on the
+benchmark's off-centre calls at seeds 1-10, every threshold equals that
+of runs stopped only by convergence or the cap.  Each result counts its
+see-saw batches and their map evaluations summed over rows (`batches`,
+`row_sweeps`); a closed form runs one batch.
 """
 
 from __future__ import annotations
@@ -122,7 +125,6 @@ __all__ = [
 
 _VIOLATION_MARGIN = 1e-9
 _ROOT_STEP = 1e-5  # each root-finder answer has a "no" decision this far below it
-_ETA_SWEEPS = 300
 _POLISH_SWEEPS = 30  # map evaluations of a capped maximization at a root
 # an effect's probability on the fully mixed state: half its trace
 _MIXED_MARGINAL = {KIND_PROJECTOR: 0.5, KIND_ALWAYS_ZERO: 1.0, KIND_ALWAYS_ONE: 0.0}
@@ -172,13 +174,14 @@ def noise_floor(f: BellFunctional) -> Fraction:
 
 
 def _visibility_threshold(f: BellFunctional, value: float) -> float | None:
-    """Closed-form w* = (bound - N) / (Q - N) from a rank-1 optimum Q; None
-    when Q does not violate."""
+    """Closed-form w* = (bound - N) / (Q - N) from a rank-1 optimum Q, or 0
+    when the bound lies below N, where every w violates; None when Q does
+    not violate."""
     bound = float(f.bound)
     if value <= bound + _VIOLATION_MARGIN:
         return None
     floor = float(noise_floor(f))
-    return (bound - floor) / (value - floor)
+    return 0.0 if bound <= floor else (bound - floor) / (value - floor)
 
 
 def _smallest_roots(det, b, d, target):
@@ -194,34 +197,41 @@ def _smallest_roots(det, b, d, target):
     return np.where(gap <= 0, 0.0, pair.min(axis=0))
 
 
-def _threshold_from_above(search, value, target):
+def _threshold_from_above(tables, value, target, *, restarts, rng, **engine_options):
     """Witnessed root-finder from above for the smallest violating p in
-    (0, 1] (see the module docstring).  search(p, warm, decide) runs one
-    see-saw batch at p, a decision batch or (decide False) a capped
-    maximization, and returns (value > target, witness, warm start for the
-    next batch, row-sweeps), the target being the bound plus the margin;
-    value(witness, p) re-evaluates a witness through the behavior path.
-    Returns None when p = 1 does not violate, else (p, its witness,
-    batches, row-sweeps summed)."""
-    yes, witness, warm, row_sweeps = search(1.0, None, True)
-    if not yes:
-        return None
-    batches, known = 1, 1.0  # the witness beats the target at `known`
+    [0, 1] (see the module docstring); it runs every threshold see-saw
+    batch but the closed forms' one.  tables(p) gives the batch's groups
+    at p, (MA, MB, const, C, visibility); value((model, group), p)
+    re-evaluates a witness through the behavior path; a value above
+    `target` violates.  A decision batch runs with the target under the
+    engine's cap, a capped maximization without it at _POLISH_SWEEPS; each
+    is warm started from the previous batch's best row per group.  Returns
+    None when p = 1 does not violate, else (p, its witness, batches,
+    row-sweeps summed)."""
+    p, decide, known, hi = 1.0, True, None, None  # the witness beats the target at `known`
+    warm, batches, row_sweeps = None, 0, 0
     while True:
-        v0, vh, v1 = (value(witness, p) for p in (0.0, 0.5, 1.0))
+        *groups, w = tables(p)
+        best, group, model, warm, state = _best_of_groups(
+            *groups, restarts=restarts, warm=warm, target=target if decide else None, w=w,
+            rng=rng, max_sweeps=None if decide else _POLISH_SWEEPS, **engine_options)
+        batches += 1
+        row_sweeps += int(state["row_sweeps"].sum())
+        del state  # its rows need not outlive the batch
+        yes = best > target
+        if decide and not yes:
+            return None if known is None else (hi, witness, batches, row_sweeps)
+        if yes:
+            witness = (model, group)
+            if decide and p == 0.0:  # violated however small p is
+                return 0.0, witness, batches, row_sweeps
+        known = p
+        v0, vh, v1 = (value(witness, q) for q in (0.0, 0.5, 1.0))
         root = float(_smallest_roots(v0, 4 * vh - 3 * v0 - v1, 2 * (v1 - 2 * vh + v0),
                                      target + _VIOLATION_MARGIN))
         hi = root if root <= known and value(witness, root) > target else known
         decide = known - hi <= _ROOT_STEP  # the root moved little: settle it
         p = max(hi - _ROOT_STEP, 0.0) if decide else hi
-        yes, found, warm, sweeps = search(p, warm, decide)
-        batches += 1
-        row_sweeps += sweeps
-        if decide and not yes:
-            return hi, witness, batches, row_sweeps
-        if yes:
-            witness = found
-        known = p
 
 
 def _noisy_behavior(m: QubitModel, w: float) -> Behavior:
@@ -255,23 +265,14 @@ def noise_threshold(f: BellFunctional, theta: float, *,
     # identity effects make the noise term measurement-dependent: find the
     # root from above, re-optimizing the measurements at each visibility
     MA, MB, C = _coefficient_arrays(f)
-    target = float(f.bound) + _VIOLATION_MARGIN
-    rng = np.random.default_rng(seed)
-
-    def search(w, warm, decide):
-        value, _, model, warm, state = _best_of_groups(
-            MA[None], MB[None], np.zeros(1), C, restarts=restarts, warm=warm,
-            target=target if decide else None, theta=theta, w=w, allow_degenerate=True,
-            rng=rng, max_sweeps=None if decide else _POLISH_SWEEPS)
-        return value > target, model, warm, int(state["row_sweeps"].sum())
-
-    def value(model, w):
-        return float(evaluate(f, _noisy_behavior(model, w)))
-
-    found = _threshold_from_above(search, value, target)
+    found = _threshold_from_above(
+        lambda w: (MA[None], MB[None], np.zeros(1), C, w),
+        lambda witness, w: float(evaluate(f, _noisy_behavior(witness[0], w))),
+        float(f.bound) + _VIOLATION_MARGIN, restarts=restarts,
+        rng=np.random.default_rng(seed), theta=theta, allow_degenerate=True)
     if found is None:
         return None
-    w, model, batches, row_sweeps = found
+    w, (model, _), batches, row_sweeps = found
     return NoiseResult(w_threshold=w, theta=theta, model=model,
                        batches=batches, row_sweeps=row_sweeps)
 
@@ -299,29 +300,17 @@ def detected_behavior(p: Behavior, d: DetectionModel) -> Behavior:
 # Detection thresholds.
 # ---------------------------------------------------------------------------
 
-def _detected_max(MA, MB, C, theta, eta_a, eta_b, sa, sb, *, rng, restarts,
-                  warm, allow_degenerate, target=None, max_sweeps=_ETA_SWEEPS):
-    """Max of I over measurements and no-click assignments, at most
-    `max_sweeps` map evaluations per row: (value, assignment, model, warm
-    start for the next call, row-sweeps).  The detected value is const +
-    I_eff(p) on the undetected behavior p.  `warm` holds one row state per
-    assignment.
-
-    The root-finder calls it in two ways.  A decision passes a target and
-    the default cap: the see-saw stops once some detected value exceeds
-    the target, and rows that cannot reach it leave early.  A capped
-    maximization at a root passes no target and _POLISH_SWEEPS."""
+def _detection_tables(MA, MB, C, eta_a, eta_b, sa, sb):
+    """(MA_eff, MB_eff, const, C_eff) with the detected value at no-click
+    bits (sa[i], sb[i]) equal to const[i] plus the table (MA_eff[i],
+    MB_eff[i], C_eff) on the undetected behavior."""
     csb = sb @ C.T                      # (n, ma): sum_y C[x,y] s_b[y]
     csa = sa @ C                        # (n, mb)
-    MA_eff = eta_a * MA[None, :] + eta_a * (1 - eta_b) * csb
-    MB_eff = eta_b * MB[None, :] + (1 - eta_a) * eta_b * csa
-    const = ((1 - eta_a) * (sa @ MA) + (1 - eta_b) * (sb @ MB)
-             + (1 - eta_a) * (1 - eta_b) * np.einsum("nx,nx->n", sa, csb))
-    value, assign, model, warm, state = _best_of_groups(
-        MA_eff, MB_eff, const, eta_a * eta_b * C, restarts=restarts, warm=warm,
-        target=target, theta=theta, allow_degenerate=allow_degenerate, rng=rng,
-        max_sweeps=max_sweeps)
-    return value, assign, model, warm, int(state["row_sweeps"].sum())
+    return (eta_a * MA[None, :] + eta_a * (1 - eta_b) * csb,
+            eta_b * MB[None, :] + (1 - eta_a) * eta_b * csa,
+            ((1 - eta_a) * (sa @ MA) + (1 - eta_b) * (sb @ MB)
+             + (1 - eta_a) * (1 - eta_b) * np.einsum("nx,nx->n", sa, csb)),
+            eta_a * eta_b * C)
 
 
 def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
@@ -331,9 +320,6 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
     ma, mb = f.scenario.m_a, f.scenario.m_b
     MA, MB, C = _coefficient_arrays(f)
-    target = float(f.bound) + _VIOLATION_MARGIN
-    rng = np.random.default_rng(seed)
-
     if symmetric:
         bits = _bits(np.arange(1 << (ma + mb)), ma + mb).astype(float)
         sa, sb = bits[:, :ma], bits[:, ma:]
@@ -344,27 +330,22 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
     def efficiencies(eta):
         return (eta, eta) if symmetric else (1.0, eta)
 
-    def search(eta, warm, decide):
-        value, assign, model, warm, row_sweeps = _detected_max(
-            MA, MB, C, theta, *efficiencies(eta), sa, sb,
-            rng=rng, restarts=restarts, warm=warm, allow_degenerate=allow_degenerate,
-            target=target if decide else None,
-            max_sweeps=_ETA_SWEEPS if decide else _POLISH_SWEEPS)
-        bits = tuple(tuple(int(v) for v in s[assign]) for s in (sa, sb))
-        return value > target, (model, *bits), warm, row_sweeps
+    def detection(eta, group):
+        return DetectionModel(*efficiencies(eta), *(tuple(int(v) for v in s[group])
+                                                    for s in (sa, sb)))
 
-    def value(witness, eta):
-        model, noclick_a, noclick_b = witness
-        d = DetectionModel(*efficiencies(eta), noclick_a, noclick_b)
-        return float(evaluate(f, detected_behavior(model_behavior(model), d)))
-
-    found = _threshold_from_above(search, value, target)
+    found = _threshold_from_above(
+        lambda eta: (*_detection_tables(MA, MB, C, *efficiencies(eta), sa, sb), 1.0),
+        lambda witness, eta: float(evaluate(f, detected_behavior(
+            model_behavior(witness[0]), detection(eta, witness[1])))),
+        float(f.bound) + _VIOLATION_MARGIN, restarts=restarts,
+        rng=np.random.default_rng(seed), theta=theta, allow_degenerate=allow_degenerate)
     if found is None:
         return None
-    eta, (model, noclick_a, noclick_b), batches, row_sweeps = found
-    ea, eb = efficiencies(eta)
-    return DetectionResult(eta=eta, eta_a=ea, eta_b=eb, model=model,
-                           noclick_a=noclick_a, noclick_b=noclick_b,
+    eta, (model, group), batches, row_sweeps = found
+    d = detection(eta, group)
+    return DetectionResult(eta=eta, eta_a=d.eta_a, eta_b=d.eta_b, model=model,
+                           noclick_a=d.noclick_a, noclick_b=d.noclick_b,
                            batches=batches, row_sweeps=row_sweeps)
 
 

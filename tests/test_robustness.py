@@ -10,8 +10,8 @@ import pytest
 from bellscan import table
 from bellscan.catalog import PRIMARY_NAMES, catalog_get
 from bellscan.core import BellFunctional, StructuralError, evaluate
-from bellscan import quantum
-from bellscan.polytope import _bits, local_bound
+from bellscan import quantum, robustness
+from bellscan.polytope import _bits, _strategy_table, local_bound
 from bellscan.quantum import (
     _best_of_groups,
     _coefficient_arrays,
@@ -22,10 +22,11 @@ from bellscan.quantum import (
     seesaw_maximize,
 )
 from bellscan.robustness import (
+    _POLISH_SWEEPS,
     _VIOLATION_MARGIN,
     DetectionModel,
     NoiseResult,
-    _detected_max,
+    _detection_tables,
     _eta_at_maximal_entanglement,
     _quadratic_at_maximal_entanglement,
     detected_behavior,
@@ -77,9 +78,9 @@ def bisected_eta(f, *, seed=1, restarts=8):
 
     def violated_at(eta):
         nonlocal warm
-        value, _, _, warm, _ = _detected_max(
-            MA, MB, C, math.pi / 4, eta, eta, bits[:, :ma], bits[:, ma:],
-            rng=rng, restarts=restarts, warm=warm, allow_degenerate=False)
+        value, _, _, warm, _ = _best_of_groups(
+            *_detection_tables(MA, MB, C, eta, eta, bits[:, :ma], bits[:, ma:]),
+            restarts=restarts, warm=warm, theta=math.pi / 4, rng=rng)
         return value > float(f.bound) + 1e-9
 
     return halving(violated_at)
@@ -121,9 +122,9 @@ def bisected_threshold(f, kind, theta, *, seed, restarts):
                 MA[None], MB[None], np.zeros(1), C, restarts=restarts, target=target,
                 theta=theta, w=p, allow_degenerate=True, rng=rng)
         else:
-            value, _, _, warm, _ = _detected_max(
-                MA, MB, C, theta, 1.0, p, sa, sb, rng=rng, restarts=restarts,
-                warm=warm, allow_degenerate=False, target=target)
+            value, _, _, warm, _ = _best_of_groups(
+                *_detection_tables(MA, MB, C, 1.0, p, sa, sb), restarts=restarts,
+                warm=warm, target=target, theta=theta, rng=rng)
         return value > target
 
     return halving(violated_at)
@@ -456,11 +457,10 @@ def test_detected_max_target_keeps_the_decision():
     sa = np.zeros((8, 3))
 
     def detected(target):
-        value, _, _, _, row_sweeps = _detected_max(
-            MA, MB, C, 0.05 * math.pi, 1.0, 0.5, sa, sb,
-            rng=np.random.default_rng(4), restarts=3, warm=None,
-            allow_degenerate=False, target=target)
-        return value, row_sweeps
+        value, _, _, _, state = _best_of_groups(
+            *_detection_tables(MA, MB, C, 1.0, 0.5, sa, sb), restarts=3,
+            target=target, theta=0.05 * math.pi, rng=np.random.default_rng(4))
+        return value, int(state["row_sweeps"].sum())
 
     full, full_work = detected(None)
     early, work = detected(full - 1e-3)
@@ -470,6 +470,84 @@ def test_detected_max_target_keeps_the_decision():
         below, work = detected(target)
         assert below <= full + 1e-12
         assert work < full_work
+
+
+def test_detection_tables_limits():
+    # perfect detectors leave the table alone; dark ones leave only the
+    # no-click outputs, whose value is f's strategy table at those bits
+    for name in ("I3322", "I4322_2"):
+        f = catalog_get(name).functional
+        ma, mb = f.scenario.m_a, f.scenario.m_b
+        MA, MB, C = _coefficient_arrays(f)
+        bits = _bits(np.arange(1 << (ma + mb)), ma + mb).astype(float)
+        sa, sb = bits[:, :ma], bits[:, ma:]
+        MA_eff, MB_eff, const, C_eff = _detection_tables(MA, MB, C, 1.0, 1.0, sa, sb)
+        assert (MA_eff == MA).all() and (MB_eff == MB).all()
+        assert (const == 0).all() and (C_eff == C).all()
+        MA_eff, MB_eff, const, C_eff = _detection_tables(MA, MB, C, 0.0, 0.0, sa, sb)
+        assert not MA_eff.any() and not MB_eff.any() and not C_eff.any()
+        assert const.tolist() == _strategy_table(f).tolist()
+
+
+def counted_batches(monkeypatch, limit=None):
+    """Record the keyword arguments of every see-saw batch the thresholds
+    run; past `limit` batches a call fails instead of running."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"more than {limit} see-saw batches")
+        return _best_of_groups(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "_best_of_groups", recorded)
+    return calls
+
+
+def test_decisions_run_under_the_default_cap_and_polishes_under_their_own(monkeypatch):
+    # every see-saw of a threshold goes through the root-finder's one call:
+    # a decision (a target) under the engine's default cap, a capped
+    # maximization (no target) at _POLISH_SWEEPS
+    calls = counted_batches(monkeypatch)
+    results = [
+        noise_threshold(catalog_get("I4422_4").functional, 0.2 * math.pi,
+                        allow_degenerate=True, restarts=3, seed=1),
+        eta_threshold_asymmetric(catalog_get("I3322").functional, 0.05 * math.pi,
+                                 restarts=3, seed=1),
+        eta_threshold_symmetric(catalog_get("CHSH").functional, 0.2 * math.pi,
+                                restarts=3, seed=1),
+    ]
+    assert len(calls) == sum(r.batches for r in results)
+    decisions = [c for c in calls if c["target"] is not None]
+    polishes = [c for c in calls if c["target"] is None]
+    assert decisions and polishes
+    assert all(c["max_sweeps"] is None for c in decisions)
+    assert all(c["max_sweeps"] == _POLISH_SWEEPS for c in polishes)
+
+
+# CH-form CHSH with its bound -1 below the local bound 0: every p violates
+LOW_BOUND = BellFunctional.build([-1, 0], [-1, 0], [[1, 1], [1, -1]], -1)
+
+
+def test_root_finder_returns_zero_when_every_p_violates(monkeypatch):
+    # a decision that says "yes" at p = 0 ends the root-finder there
+    counted_batches(monkeypatch, limit=10)
+    w = noise_threshold(LOW_BOUND, math.pi / 4, allow_degenerate=True, restarts=3, seed=1)
+    assert w.w_threshold == 0.0 and w.batches <= 4
+    assert float(evaluate(LOW_BOUND, robustness._noisy_behavior(w.model, 0.0))) > -1
+    for r in (eta_threshold_asymmetric(LOW_BOUND, restarts=3, seed=1),
+              eta_threshold_symmetric(LOW_BOUND, 0.2 * math.pi, restarts=3, seed=1)):
+        assert r.eta == 0.0 and r.batches <= 4
+        d = DetectionModel(r.eta_a, r.eta_b, r.noclick_a, r.noclick_b)
+        assert float(evaluate(LOW_BOUND, detected_behavior(model_behavior(r.model), d))) > -1
+
+
+def test_closed_form_visibility_is_never_negative():
+    # the bound lies below the mixed-state value N = -1/2, so the closed
+    # form (bound - N) / (Q - N) would be negative: w is 0 instead
+    assert noise_floor(LOW_BOUND) == Fraction(-1, 2)
+    r = noise_threshold(LOW_BOUND, math.pi / 4, restarts=3, seed=1)
+    assert r.w_threshold == 0.0
 
 
 @pytest.mark.parametrize("seed", [1, 2])
