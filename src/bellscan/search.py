@@ -8,19 +8,24 @@ range and marginal columns ordered as
 (the first "<" is configurable since the printed constraint is strict
 there and "<=" later).  Every candidate's bound is its exact local bound,
 so the facet test is the only filter that matters.  Both halves of that
-test run on whole chunks of candidates with the facet test's own helpers.
+test run on many candidates at once with the facet test's own helpers.
 The screen values each chunk at every deterministic strategy, one GEMM
 against the behavior matrix per sub-block of _BLOCK values (exact in
 float64 while max|coefficient| * d < 2^53, in Python integers beyond); the
 matrix is built once per run while it fits in _BLOCK elements.  A
 candidate's bound is its largest value.  Candidates with at least d
-saturating strategies are rank-tested together: their difference matrices
-V[sat] - V[first] are stacked and ranked modulo as many primes as a
-Hadamard bound asks for.  Only candidates of affine rank d-1 become
-`BellFunctional`s.  Found facets are deduplicated by canonical form and
-matched against the catalog (including zero-padded liftings of
-smaller-scenario entries); single-cell positivity facets are counted
-separately as trivial.
+saturating strategies are rank-tested: each chunk's such candidates join a
+queue (coefficient row, bound and bit-packed saturating mask, copied out of
+the chunk), and once it holds _RANK_QUEUE candidates, or the stream ends,
+each distinct mask in the queue is ranked once.  Many candidates share a
+saturating set (exhaustive 3322: 3,484 rank-tested, 1,299 distinct).  The
+difference matrices V[sat] - V[first] are ranked in size-sorted stacks
+modulo as many primes as a Hadamard bound asks for.  The queue's candidates
+of affine rank d-1 then become `BellFunctional`s in stream order, so the
+report does not depend on where the queue is flushed.  Found facets are
+deduplicated by canonical form and matched against the catalog (including
+zero-padded liftings of smaller-scenario entries); single-cell positivity
+facets are counted separately as trivial.
 
 Candidates arrive as int64 numpy chunks of at most _CHUNK coefficient rows
 (M_A, M_B, then C by rows), the layout the scoring helper takes.  The
@@ -32,7 +37,8 @@ catalog keys are computed on demand: the first at the first tight
 candidate, the second at the first new class, so a run that finds no facet
 canonicalizes nothing.  The report counts the funnel: candidates screened,
 those with at least d saturating strategies (rank-tested), and those that
-passed the facet test (tight, trivial ones and repeats included).
+passed the facet test (tight, trivial ones and repeats included); beside
+it, the distinct saturating sets ranked (the rank layer's work).
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ __all__ = [
 
 EXHAUSTIVE_CAP = 10 ** 8
 _CHUNK = 4096
+_RANK_QUEUE = _CHUNK  # rank-tested candidates held before their distinct sets are ranked
 _COEFF_LIMIT = 2 ** 62  # candidates are int64 rows; numpy's generator takes int64 bounds
 
 
@@ -115,6 +122,7 @@ class SearchReport:
     trivial_count: int = 0
     rank_tested: int = 0  # candidates with at least d saturating strategies
     tight: int = 0  # rank-tested candidates that are facets, trivial and repeats included
+    rank_sets: int = 0  # distinct saturating sets ranked, counted once per queue flush
 
 
 def _marginal_tuples(m: int, marg_min: int, strict_first: bool) -> list[tuple[int, ...]]:
@@ -175,6 +183,22 @@ def _build(scenario: Scenario, row: np.ndarray, bound: int) -> BellFunctional:
     return BellFunctional(scenario, coeffs[:ma], coeffs[ma:ma + mb], corr, Fraction(bound))
 
 
+def _screen(scenario: Scenario, rows: np.ndarray, behaviors) -> tuple:
+    """A chunk's candidates with at least d saturating strategies: their
+    rows, bounds and bit-packed saturating masks.  Fancy indexing copies
+    them, so a queue of these keeps no chunk array alive."""
+    d = ns_dimension(scenario)
+    rows_per_gemm = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
+    bounds, saturated = [], []
+    for start in range(0, len(rows), rows_per_gemm):
+        values = _strategy_values(scenario, rows[start:start + rows_per_gemm], behaviors)
+        bounds.append(values.max(axis=1))
+        saturated.append(values == bounds[-1][:, None])
+    bounds, saturated = np.concatenate(bounds), np.concatenate(saturated)
+    ranked = np.flatnonzero(saturated.sum(axis=1) >= d)
+    return rows[ranked], bounds[ranked], np.packbits(saturated[ranked], axis=1)
+
+
 def _trivial_key(scenario: Scenario):
     corr = [[0] * scenario.m_b for _ in range(scenario.m_a)]
     corr[0][0] = -1
@@ -203,22 +227,24 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
     trivial = known = None  # keyed on first use: most runs never need them
     seen = set()
 
-    rows_per_gemm = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
-    count = 1 << (scenario.m_a + scenario.m_b)
-    behaviors = _behaviors(scenario, np.arange(count)) if count * d <= _BLOCK else None
-    for rows in _raw_candidates(cfg):
-        report.candidates_tested += len(rows)
-        bounds, saturated = [], []
-        for start in range(0, len(rows), rows_per_gemm):
-            values = _strategy_values(scenario, rows[start:start + rows_per_gemm], behaviors)
-            bounds.append(values.max(axis=1))
-            saturated.append(values == bounds[-1][:, None])
-        bounds, saturated = np.concatenate(bounds), np.concatenate(saturated)
-        ranked = np.flatnonzero(saturated.sum(axis=1) >= d)
-        report.rank_tested += len(ranked)
-        for idx in ranked[_affine_dims(scenario, saturated[ranked]) == d - 1]:
+    def flush(queue):
+        """Rank each distinct saturating set in the queue once, then take
+        its tight candidates in stream order."""
+        nonlocal trivial, known
+        rows, bounds, packed = zip(*queue)
+        packed = np.concatenate(packed)
+        # one void item per mask: a byte-wise sort, far cheaper than axis=0
+        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+        sets, inverse = np.unique(keys, return_inverse=True)
+        report.rank_sets += len(sets)
+        masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1,
+                              count=count).astype(bool)
+        tight = (_affine_dims(scenario, masks) == d - 1)[inverse]
+        # joined only after ranking, so the copy never meets the rank stacks
+        rows, bounds = np.concatenate(rows)[tight], np.concatenate(bounds)[tight]
+        for row, bound in zip(rows, bounds):
             report.tight += 1
-            f = _build(scenario, rows[idx], int(bounds[idx]))
+            f = _build(scenario, row, int(bound))
             if trivial is None:
                 trivial = _trivial_key(scenario)
             key = canonical_key(f)
@@ -235,6 +261,20 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
                 FacetFinding(functional=f, canonical=canonical_form(f), known_as=name))
             if name is None:
                 report.new_count += 1
+
+    count = 1 << (scenario.m_a + scenario.m_b)
+    behaviors = _behaviors(scenario, np.arange(count)) if count * d <= _BLOCK else None
+    queue, queued = [], 0  # one _screen result per chunk
+    for rows in _raw_candidates(cfg):
+        report.candidates_tested += len(rows)
+        queue.append(_screen(scenario, rows, behaviors))
+        report.rank_tested += len(queue[-1][0])
+        queued += len(queue[-1][0])
+        if queued >= _RANK_QUEUE:
+            flush(queue)
+            queue, queued = [], 0
+    if queued:
+        flush(queue)
 
     if out_dir is not None:
         _write_report(report, Path(out_dir))
@@ -255,6 +295,7 @@ def report_to_json(report: SearchReport) -> dict:
         },
         "candidates_tested": report.candidates_tested,
         "rank_tested": report.rank_tested,
+        "rank_sets": report.rank_sets,
         "tight": report.tight,
         "trivial_count": report.trivial_count,
         "new_count": report.new_count,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +260,15 @@ def test_eta_asym_sweep_rejects_theta(capsys):
     assert "--theta" in err
 
 
+def test_search_text_reports_the_ranked_sets(capsys):
+    code, out, _ = run_cli(capsys, "search", "--ma", "2", "--mb", "2",
+                           "--corr-min", "-1", "--corr-max", "1", "--marg-min", "-1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:3] == ["rank-tested (at least d saturating strategies): 5",
+                          "distinct saturating sets ranked: 5"]
+
+
 def test_search_sampling_flags_need_random_mode(capsys):
     space = ["search", "--ma", "2", "--mb", "2", "--corr-min", "-1",
              "--corr-max", "1", "--marg-min", "-1", "--format", "json"]
@@ -300,6 +313,7 @@ def test_search_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["candidates_tested"] == 81
     assert payload["candidates_tested"] >= payload["rank_tested"] >= payload["tight"] >= 1
+    assert payload["rank_tested"] >= payload["rank_sets"] >= 1
     assert payload["facets_found"][0]["known_as"] == "CHSH"
     assert (out_dir / "report.json").exists()
 
@@ -337,3 +351,12 @@ def test_table1_deterministic_across_runs_and_jobs(capsys):
     assert first == second
     code, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
     assert parallel == first
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "bellscan", "catalog"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[0] == "CHSH"

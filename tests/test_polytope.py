@@ -19,9 +19,11 @@ from bellscan.polytope import (
     facet_check,
     local_bound,
     ns_dimension,
+    _affine_dims,
     _primes,
     _ranks,
     _ranks_mod,
+    _scored,
     _strategy_values,
 )
 from reference_walks import (
@@ -221,6 +223,60 @@ def test_integer_rank_examples():
     for i, mat in enumerate(fives):
         stack[i, :len(mat)] = mat
     assert _ranks(stack[:len(fives)]).tolist() == [integer_rank(m) for m in fives]
+
+
+def test_ranks_mod_at_the_largest_residue():
+    # -1 is p - 1 modulo p: the largest residue, whose products reach
+    # (p - 1)^2 just below 2^62.  +-1 minors of at most 8 columns stay far
+    # below p, so the modular rank is the rank over Q.
+    p = next(_primes())
+    rng = random.Random(11)
+    mats = [[[-1] * 8] * 8, [[-1, 1], [1, -1]], [[-1, -1], [1, -1]]]
+    mats += [[[rng.choice((-1, -1, 0, 1)) for _ in range(8)]
+              for _ in range(rng.randrange(1, 12))] for _ in range(60)]
+    stack = np.zeros((len(mats), 11, 8), dtype=np.int64)
+    for i, mat in enumerate(mats):
+        stack[i, :len(mat), :len(mat[0])] = mat
+    residues = stack % p
+    assert residues.max() == p - 1
+    assert _ranks_mod(residues, p).tolist() == [integer_rank(m) for m in mats]
+
+
+def test_affine_dims_sorted_stacks_keep_the_callers_order(monkeypatch):
+    s = Scenario(3, 3)
+    d = ns_dimension(s)
+    rng = random.Random(5)
+    functionals = [lift(catalog_get("CHSH").functional, s), catalog_get("I3322").functional]
+    for lo, hi in ((-1, 1), (-1, 0), (0, 1), (-3, 3)):
+        for _ in range(12):
+            f = random_functional(rng, s, lo, hi)
+            functionals.append(replace(f, bound=local_bound(f)))
+    chsh = functionals[0]
+    functionals.append(replace(chsh, bound=chsh.bound + 1))  # saturates nothing
+    masks = np.array([_scored(f)[1] for f in functionals])
+    counts = masks.sum(axis=1)
+    assert counts.min() == 0 and counts.max() > 2 * d  # widths from none to wide
+    expected = [facet_check(f).affine_dim for f in functionals]
+    assert expected[-1] == -1 and expected[:2] == [d - 1, d - 1]
+
+    shapes = []
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return _ranks(stack)
+
+    monkeypatch.setattr(polytope, "_ranks", recording)
+    monkeypatch.setattr(polytope, "_STACK", 40 * d)
+    perm = np.random.default_rng(5).permutation(len(functionals))
+    dims = _affine_dims(s, masks[perm])
+    assert dims.tolist() == [expected[i] for i in perm]
+    # stacks in order of width, each within _STACK unless one row is wider,
+    # padded to its own widest row
+    assert len(shapes) >= 4 and sum(t for t, _, _ in shapes) == len(functionals)
+    widths = [w for _, w, _ in shapes]
+    assert widths == sorted(widths) and widths[-1] == counts.max()
+    assert all(t * w * c <= 40 * d or t == 1 for t, w, c in shapes)
+    assert sum(t * w for t, w, _ in shapes) < len(functionals) * counts.max()
 
 
 def test_primes_are_the_largest_below_2_to_31():

@@ -6,8 +6,15 @@ import pytest
 
 from bellscan import search
 from bellscan.catalog import catalog_get
-from bellscan.core import CapacityError, Scenario, StructuralError, lift, parse_functional
-from bellscan.polytope import facet_check, local_bound
+from bellscan.core import (
+    CapacityError,
+    Scenario,
+    StructuralError,
+    functional_to_json,
+    lift,
+    parse_functional,
+)
+from bellscan.polytope import _affine_dims, facet_check, local_bound
 from bellscan.search import (
     _CHUNK,
     SearchConfig,
@@ -51,6 +58,23 @@ def stream_rows(cfg):
 def assert_funnel(rep):
     assert rep.candidates_tested >= rep.rank_tested >= rep.tight
     assert rep.tight >= rep.trivial_count + len(rep.facets_found)
+    assert rep.rank_tested >= rep.rank_sets >= (rep.rank_tested > 0)
+
+
+EXHAUSTIVE_3322 = SearchConfig(Scenario(3, 3), corr_range=(-1, 1), marg_min=-2)
+
+
+@pytest.fixture(scope="module")
+def exhaustive_3322():
+    return run_search(EXHAUSTIVE_3322)
+
+
+def outcome(rep):
+    """Everything a report says except the rank layer's work count."""
+    return ((rep.candidates_tested, rep.rank_tested, rep.tight, rep.trivial_count,
+             rep.new_count),
+            [(f.known_as, functional_to_json(f.functional), functional_to_json(f.canonical))
+             for f in rep.facets_found])
 
 
 @pytest.mark.parametrize("cfg", [
@@ -222,6 +246,34 @@ def test_run_search_degenerate_range_finds_nothing():
     assert rep.tight == 0
 
 
+def test_rank_queue_flushes_leave_the_report_unchanged(monkeypatch, exhaustive_3322):
+    # a queue of 7 flushes after every chunk that rank-tests anything, so a
+    # set shared by two chunks is ranked twice; the report must not notice
+    monkeypatch.setattr(search, "_RANK_QUEUE", 7)
+    rep = run_search(EXHAUSTIVE_3322)
+    assert outcome(rep) == outcome(exhaustive_3322)
+    assert outcome(rep)[0] == (177147, 3484, 8, 0, 0)
+    assert [f.known_as for f in rep.facets_found] == ["I3322", "CHSH"]
+    assert rep.rank_sets > exhaustive_3322.rank_sets
+    assert_funnel(rep)
+
+
+def test_each_distinct_saturating_set_is_ranked_once(monkeypatch):
+    calls = []
+
+    def recording(scenario, saturated):
+        calls.append(saturated)
+        return _affine_dims(scenario, saturated)
+
+    monkeypatch.setattr(search, "_affine_dims", recording)
+    rep = run_search(EXHAUSTIVE_3322)
+    # the 3,484 rank-tested candidates fit one queue and hold 1,299 sets
+    assert len(calls) == 1
+    assert len(np.unique(calls[0], axis=0)) == len(calls[0]) == 1299
+    assert (rep.rank_tested, rep.rank_sets) == (3484, 1299)
+    assert_funnel(rep)
+
+
 def test_catalog_keys_computed_only_when_a_facet_is_found(monkeypatch):
     calls = []
 
@@ -246,5 +298,6 @@ def test_run_search_writes_files(tmp_path):
     assert equivalent(parsed, catalog_get("CHSH").functional)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["candidates_tested"] == 81
-    assert (report["rank_tested"], report["tight"]) == (rep.rank_tested, rep.tight)
+    assert (report["rank_tested"], report["rank_sets"], report["tight"]) == (
+        rep.rank_tested, rep.rank_sets, rep.tight) == (5, 5, 1)
     assert report["facets_found"][0]["known_as"] == "CHSH"
