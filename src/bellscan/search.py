@@ -22,10 +22,15 @@ saturating set (exhaustive 3322: 3,484 rank-tested, 1,299 distinct).  The
 difference matrices V[sat] - V[first] are ranked in size-sorted stacks
 modulo as many primes as a Hadamard bound asks for.  The queue's candidates
 of affine rank d-1 then become `BellFunctional`s in stream order, so the
-report does not depend on where the queue is flushed.  Found facets are
-deduplicated by canonical form and matched against the catalog (including
-zero-padded liftings of smaller-scenario entries); single-cell positivity
-facets are counted separately as trivial.
+report does not depend on where the queue is flushed; each is first
+divided by the gcd of its coefficients and bound, because a positive
+multiple of a facet is the same facet.  Found facets are deduplicated by
+canonical key and matched against the catalog.  Every key is
+canonical_key(lift(g, scenario)): g is the 1x1 positivity table, whose
+class is counted separately as trivial, or a catalog entry (lift to its own
+scenario is the identity).  Off the diagonal (m_a != m_b) a key does not
+carry the party swap, so each entry is also entered with its parties
+swapped, after every entry in its printed order.
 
 Candidates arrive as int64 numpy chunks of at most _CHUNK coefficient rows
 (M_A, M_B, then C by rows), the layout the scoring helper takes.  The
@@ -44,6 +49,7 @@ it, the distinct saturating sets ranked (the rank layer's work).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -200,22 +206,19 @@ def _screen(scenario: Scenario, rows: np.ndarray, behaviors) -> tuple:
 
 
 def _trivial_key(scenario: Scenario):
-    corr = [[0] * scenario.m_b for _ in range(scenario.m_a)]
-    corr[0][0] = -1
-    positivity = BellFunctional.build(
-        [0] * scenario.m_a, [0] * scenario.m_b, corr, 0)
-    return canonical_key(positivity)
+    positivity = BellFunctional.build([0], [0], [[-1]], 0)
+    return canonical_key(lift(positivity, scenario))
 
 
 def _catalog_keys(scenario: Scenario) -> dict:
+    tables = [(entry.name, entry.functional) for entry in catalog_list()]
+    if scenario.m_a != scenario.m_b:  # keys carry the party swap only on the diagonal
+        tables += [(name, BellFunctional.build(f.bob_marg, f.alice_marg, zip(*f.corr), f.bound))
+                   for name, f in tables]
     keys = {}
-    for entry in catalog_list():
-        native = entry.native_scenario
-        if native == scenario:
-            keys.setdefault(canonical_key(entry.functional), entry.name)
-        elif native.m_a <= scenario.m_a and native.m_b <= scenario.m_b:
-            lifted = lift(entry.functional, scenario)
-            keys.setdefault(canonical_key(lifted), entry.name)
+    for name, f in tables:
+        if f.scenario.m_a <= scenario.m_a and f.scenario.m_b <= scenario.m_b:
+            keys.setdefault(canonical_key(lift(f, scenario)), name)
     return keys
 
 
@@ -244,7 +247,9 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
         rows, bounds = np.concatenate(rows)[tight], np.concatenate(bounds)[tight]
         for row, bound in zip(rows, bounds):
             report.tight += 1
-            f = _build(scenario, row, int(bound))
+            # a positive multiple of a facet is that facet: key its reduced row
+            divisor = math.gcd(*row.tolist(), int(bound))
+            f = _build(scenario, row // divisor, int(bound) // divisor)
             if trivial is None:
                 trivial = _trivial_key(scenario)
             key = canonical_key(f)

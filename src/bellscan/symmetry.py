@@ -16,7 +16,8 @@ Two functionals are equivalent iff their orbits coincide; the canonical
 form is the lexicographically minimal table over the orbit, ordered by
 (bound, alice_marg, bob_marg, corr row-major).  Orbit minimization prunes
 on the bound (flip-determined) and on sorted marginals, so a canonical
-form costs far less than the full 294912-element scan.
+form costs far less than the full 294912-element scan.  A party-symmetric
+representative is sought over the same walk of flips and sorting orders.
 """
 
 from __future__ import annotations
@@ -186,38 +187,20 @@ def equivalent(f: BellFunctional, g: BellFunctional) -> bool:
 
 
 def _is_symmetric(f: BellFunctional) -> bool:
-    if f.alice_marg != f.bob_marg:
-        return False
-    m = f.scenario.m_a
-    return all(f.corr[x][y] == f.corr[y][x] for x in range(m) for y in range(x + 1, m))
-
-
-def _matching_perms(values, target) -> Iterator[tuple[int, ...]]:
-    """Index permutations cp with values[cp[j]] == target[j] for all j."""
-    positions: dict = {}
-    for i, v in enumerate(values):
-        positions.setdefault(v, []).append(i)
-    slots: dict = {}
-    for j, v in enumerate(target):
-        slots.setdefault(v, []).append(j)
-    if set(positions) != set(slots) or any(
-            len(positions[v]) != len(slots[v]) for v in positions):
-        return
-    keys = sorted(positions)
-    for choice in product(*(permutations(positions[v]) for v in keys)):
-        cp = [0] * len(values)
-        for v, perm in zip(keys, choice):
-            for j, i in zip(slots[v], perm):
-                cp[j] = i
-        yield tuple(cp)
+    return f.alice_marg == f.bob_marg and f.corr == tuple(zip(*f.corr))
 
 
 def symmetric_representative(f: BellFunctional) -> BellFunctional | None:
     """Orbit element invariant under the party swap, if one exists.
 
-    The swap generator itself is not needed in the scan: if g in the orbit
-    is symmetric then g is also reachable by flips and permutations alone,
-    because conjugating its expression by the swap exchanges the two sides.
+    An input that is already symmetric comes back unchanged.  Otherwise the
+    scan walks what `canonical_key` walks, without the swap: for each pair
+    of flip masks, only the setting orders that sort both marginal vectors.
+    The swap is not needed, because conjugating a symmetric element's
+    expression by the swap exchanges the two sides.  Sorted marginals lose
+    nothing: one permutation applied to both parties keeps a table
+    symmetric, so a symmetric orbit element exists iff one with
+    nondecreasing marginals does, and that one is returned.
     """
     if f.scenario.m_a != f.scenario.m_b:
         raise StructuralError("symmetric representatives require m_a == m_b")
@@ -228,16 +211,12 @@ def symmetric_representative(f: BellFunctional) -> BellFunctional | None:
     for amask in range(1 << m):
         for bmask in range(1 << m):
             bound, am, bm, corr = _flip_table(*base, amask, bmask)
-            if sorted(am) != sorted(bm):
+            marg = sorted(am)
+            if marg != sorted(bm):
                 continue
-            for rp in permutations(range(m)):
-                target = [am[i] for i in rp]
-                for cp in _matching_perms(bm, target):
-                    sym = all(
-                        corr[rp[i]][cp[j]] == corr[rp[j]][cp[i]]
-                        for i in range(m) for j in range(i + 1, m))
-                    if sym:
-                        new_corr = [[corr[rp[i]][cp[j]] for j in range(m)]
-                                    for i in range(m)]
-                        return BellFunctional.build(target, target, new_corr, bound)
+            for rp in _sorting_perms(am):
+                for cp in _sorting_perms(bm):
+                    table = tuple(tuple(corr[i][j] for j in cp) for i in rp)
+                    if table == tuple(zip(*table)):
+                        return BellFunctional.build(marg, marg, table, bound)
     return None

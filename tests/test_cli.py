@@ -11,12 +11,14 @@ from bellscan.catalog import catalog_get
 from bellscan.cli import main
 from bellscan.core import (
     BellFunctional,
+    functional_from_json,
     functional_to_json,
     parse_functional,
     serialize_functional,
 )
 from bellscan.quantum import seesaw_maximize
 from bellscan.robustness import eta_threshold_asymmetric
+from bellscan.symmetry import equivalent
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +131,17 @@ def test_symmetric_none_exits_one(capsys):
     assert "bell 3 3" in out
 
 
+def test_symmetric_json_of_an_asymmetric_table(capsys):
+    code, out, _ = run_cli(capsys, "symmetric", "--name", "I3322", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["name"] == "I3322"
+    rep = functional_from_json(payload)
+    assert rep.alice_marg == rep.bob_marg == tuple(sorted(rep.alice_marg))
+    assert rep.corr == tuple(zip(*rep.corr))
+    assert equivalent(rep, catalog_get("I3322").functional)
+
+
 def test_qmax_json(capsys):
     code, out, _ = run_cli(capsys, "qmax", "--name", "CHSH", "--seed", "3",
                            "--restarts", "10", "--format", "json")
@@ -146,12 +159,26 @@ def test_qmax_json(capsys):
     assert payload["sweeps"] <= payload["row_sweeps"] <= payload["restarts"] * payload["sweeps"]
 
 
+RAISED_CHSH = "bell 2 2 1\nbob -1 0\n-1 | 1 1\n0 | 1 -1\n"  # CHSH with bound 1
+
+
 def test_qmax_not_violating_exits_one(tmp_path, capsys):
     raised = tmp_path / "raised.bell"
-    raised.write_text("bell 2 2 1\nbob -1 0\n-1 | 1 1\n0 | 1 -1\n")
+    raised.write_text(RAISED_CHSH)
     code, out, _ = run_cli(capsys, "qmax", "--file", str(raised), "--seed", "1",
                            "--restarts", "5")
     assert code == 1
+
+
+@pytest.mark.parametrize("cmd, key", [
+    ("noise", "w_threshold"), ("eta", "eta"), ("eta-asym", "eta_b")])
+def test_threshold_without_violation_replies_none(tmp_path, capsys, cmd, key):
+    raised = tmp_path / "raised.bell"
+    raised.write_text(RAISED_CHSH)
+    code, out, _ = run_cli(capsys, cmd, "--file", str(raised), "--seed", "1",
+                           "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"name": str(raised), key: None}
 
 
 def test_noise_theta_flag(capsys):
@@ -325,6 +352,21 @@ def test_table1_row_matches_reference(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "name,violation,theta_max_over_pi,w_max,w,eta"
     assert lines[1] == "CHSH,0.2071,0.2500,0.7071,0.7071,0.8284"
+
+
+def test_table1_json_and_text_match_the_csv_row(capsys):
+    args = ["table1", "--only", "CHSH", "--seed", "7", "--restarts", "10"]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["name"] == "CHSH"
+    assert [f"{row[k]:.4f}" for k in ("violation", "theta_max_over_pi", "w_max", "w", "eta")] \
+        == ["0.2071", "0.2500", "0.7071", "0.7071", "0.8284"]
+    code, out, _ = run_cli(capsys, *args, "--format", "text")
+    assert code == 0
+    header, line = out.splitlines()
+    assert header.split() == ["name", "violation", "theta/pi", "w_max", "w", "eta"]
+    assert line.split() == ["CHSH", "0.2071", "0.2500", "0.7071", "0.7071", "0.8284"]
 
 
 def test_table1_with_no_restarts_is_usage_error(capsys):

@@ -1,12 +1,14 @@
 import json
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
 from bellscan import search
-from bellscan.catalog import catalog_get
+from bellscan.catalog import catalog_get, catalog_list
 from bellscan.core import (
+    BellFunctional,
     CapacityError,
     Scenario,
     StructuralError,
@@ -19,6 +21,7 @@ from bellscan.search import (
     _CHUNK,
     SearchConfig,
     _build,
+    _catalog_keys,
     _marginal_tuples,
     _raw_candidates,
     run_search,
@@ -301,3 +304,51 @@ def test_run_search_writes_files(tmp_path):
     assert (report["rank_tested"], report["rank_sets"], report["tight"]) == (
         rep.rank_tested, rep.rank_sets, rep.tight) == (5, 5, 1)
     assert report["facets_found"][0]["known_as"] == "CHSH"
+
+
+def test_catalog_keys_hold_both_party_orders_off_the_diagonal(monkeypatch):
+    # a key carries the party swap only when m_a == m_b, so (3,4) must also
+    # know the 4322 classes written with Alice and Bob exchanged
+    s = Scenario(3, 4)
+    keys = _catalog_keys(s)
+    for name in ("I4322_1", "I4322_2", "I4322_3"):
+        f = catalog_get(name).functional
+        swapped = BellFunctional.build(f.bob_marg, f.alice_marg, zip(*f.corr), f.bound)
+        assert keys[canonical_key(lift(swapped, s))] == name
+    # on the diagonal the printed orders already cover every class: one
+    # canonicalization per entry that fits, and the same key set as before
+    calls = []
+    monkeypatch.setattr(search, "canonical_key", lambda f: calls.append(f) or canonical_key(f))
+    for s, classes in ((Scenario(3, 3), 2), (Scenario(4, 4), 31)):
+        calls.clear()
+        keys = _catalog_keys(s)
+        fits = [entry.functional for entry in catalog_list()
+                if entry.native_scenario.m_a <= s.m_a and entry.native_scenario.m_b <= s.m_b]
+        assert len(calls) == len(fits)
+        assert set(keys) == {canonical_key(lift(f, s)) for f in fits}
+        assert len(keys) == classes
+
+
+def test_run_search_reduces_a_multiple_of_a_facet():
+    # the space holds 2*CHSH (bound 0) beside CHSH; both are the CHSH class
+    rep = run_search(SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3))
+    assert (rep.candidates_tested, rep.rank_tested, rep.tight, rep.new_count) == (
+        5625, 23, 2, 0)
+    assert [f.known_as for f in rep.facets_found] == ["CHSH"]
+    found = rep.facets_found[0].functional
+    coeffs = found.alice_marg + found.bob_marg + sum(found.corr, ())
+    assert math.gcd(*coeffs, int(found.bound)) == 1
+    assert equivalent(found, catalog_get("CHSH").functional)
+    assert_funnel(rep)
+
+
+def test_run_search_reports_a_class_missing_from_the_catalog(monkeypatch):
+    def without_i3322():
+        return [e for e in catalog_list() if e.name not in ("I3322", "I3322_TILDE")]
+
+    monkeypatch.setattr(search, "catalog_list", without_i3322)
+    rep = run_search(EXHAUSTIVE_3322)
+    assert [f.known_as for f in rep.facets_found] == [None, "CHSH"]
+    assert rep.new_count == 1
+    assert equivalent(rep.facets_found[0].functional, catalog_get("I3322").functional)
+    assert_funnel(rep)

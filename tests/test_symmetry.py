@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellscan.catalog import catalog_get
+from bellscan.catalog import catalog_get, catalog_list
 from bellscan.core import (
     Behavior,
     BellFunctional,
@@ -29,6 +29,12 @@ from reference_walks import (
     strategies,
     transformation_count,
 )
+
+
+def is_symmetric(f):
+    m = f.scenario.m_a
+    return f.alice_marg == f.bob_marg and all(
+        f.corr[x][y] == f.corr[y][x] for x in range(m) for y in range(m))
 
 
 def random_functional(rng, scenario, lo=-2, hi=2):
@@ -180,3 +186,55 @@ def test_symmetric_representative_is_equivalent_when_found():
     assert rep is not None
     assert equivalent(rep, f)
     assert rep.alice_marg == rep.bob_marg
+
+
+def test_symmetric_representatives_over_the_catalog():
+    # a symmetric input comes back unchanged; any other (I3322 among them)
+    # gives the first symmetric table of the walk, with sorted marginals
+    missing, transformed = [], []
+    for entry in catalog_list():
+        f = entry.functional
+        if f.scenario.m_a != f.scenario.m_b:
+            continue
+        rep = symmetric_representative(f)
+        if rep is None:
+            missing.append(entry.name)
+            continue
+        assert is_symmetric(rep)
+        assert equivalent(rep, f)
+        if is_symmetric(f):
+            assert rep == f
+        else:
+            assert list(rep.alice_marg) == sorted(rep.alice_marg)
+            transformed.append(entry.name)
+    assert missing == ["I4422_2", "AII2", "I4422_3", "I4422_5", "I4422_6", "I4422_7"]
+    assert "I3322" in transformed
+
+
+def test_symmetric_representative_exists_iff_the_full_orbit_has_one():
+    # oracle: scan the whole group, swap included, for a symmetric image;
+    # inputs are relabeled symmetric tables, half of them with one cell nudged
+    rng = random.Random(2718)
+    answers = []
+    for _ in range(16):
+        scenario = rng.choice([Scenario(2, 2), Scenario(3, 3)])
+        m = scenario.m_a
+        marg = [rng.randint(-1, 1) for _ in range(m)]
+        corr = [[0] * m for _ in range(m)]
+        for x in range(m):
+            for y in range(x, m):
+                corr[x][y] = corr[y][x] = rng.randint(-1, 1)
+        if rng.random() < 0.5:
+            x, y = rng.sample(range(m), 2)
+            corr[x][y] += rng.choice((-1, 1))
+        f = apply_transformation(BellFunctional.build(marg, marg, corr, 0),
+                                 random_transformation(scenario, rng))
+        exists = any(is_symmetric(apply_transformation(f, t))
+                     for t in all_transformations(scenario))
+        rep = symmetric_representative(f)
+        assert (rep is not None) == exists
+        if rep is not None:
+            assert is_symmetric(rep) and equivalent(rep, f)
+            assert rep == f or list(rep.alice_marg) == sorted(rep.alice_marg)
+        answers.append(exists)
+    assert any(answers) and not all(answers)
