@@ -48,9 +48,9 @@ EXIT_USAGE = 2
 
 _DEFAULT_THETA = "0.25"
 _INNER_RESTARTS_HELP = (
-    "see-saw restarts per no-click assignment; for the symmetric eta at "
-    "theta/pi = 0.25 with rank-1 effects, restarts of the one see-saw whose "
-    "optimum gives the closed form")
+    "see-saw restarts per no-click assignment; at theta/pi = 0.25 with "
+    "rank-1 effects, restarts of the one see-saw whose optimum gives the "
+    "closed form")
 
 
 class _UsageError(Exception):

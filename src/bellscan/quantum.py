@@ -8,32 +8,42 @@ a rank-1 projector has t = 1 and a unit Bloch vector r; a degenerate one
 has the identity (t = 2) or the zero operator (t = 0), with r = 0, so a
 kind code is t itself.
 
-The engine works in effect coordinates x = (t, r_x, r_y, r_z).  In the
-correlation-tensor form of the state, with wc = w cos 2theta, ws =
-w sin 2theta and u = (1, 0, 0, wc) / 2, a setting occurs with p = x . u
-and a pair with p_ab = x_a . Omega x_b, where
+The engine works in effect coordinates x = (t, r_x, r_y, r_z).  Every
+state is its Omega_ij = Tr[rho sigma_i (x) sigma_j] / 4: a pair occurs
+with p_ab = x_a . Omega x_b and a setting with p = x . u / 2, u the
+party's marginal vector, u_a = 4 Omega[:, 0] or u_b = 4 Omega[0, :].  The
+Schmidt state mixed with visibility w has, with c = w cos 2theta and
+s = w sin 2theta,
 
-    Omega = [[1, 0, 0, wc], [0, ws, 0, 0], [0, 0, -ws, 0], [wc, 0, 0, w]] / 4,
+    Omega = [[1, 0, 0, c], [0, s, 0, 0], [0, 0, -s, 0], [c, 0, 0, w]] / 4,
 
-so a functional's value is one bilinear form plus marginal terms.  The
-optimizer is coordinate ascent on it.  With the partner fixed, one product
-with kron(C, Omega) plus the marginal term gives each setting's field G,
-and an effect scores x . G: the best projector aligns r with g = G[1:]
-(value G[0] + |g|), the identity scores 2 G[0] and the zero effect 0; the
-last two compete only when degenerate effects are allowed.  For a free
-state the block maximum is the top eigenvector psi of the Bell operator
-sum_ij T_ij sigma_i (x) sigma_j, T = X_a^T C X_b / 4 plus marginal rows.  A
-free row keeps psi in the frame its effects live in, with Omega_ij =
-<psi|sigma_i (x) sigma_j|psi> / 4 and marginal vectors 4 Omega[:, 0]
-(Alice) and 4 Omega[0, :] (Bob) in place of the Schmidt ones.  Only its
-output is put in Schmidt form: the local unitaries fold into the
-measurements as SO(3) rotations of the Bloch vectors.  Every step is an
-exact block maximum, so a plain sweep F (`_sweep`) never lowers the value;
-seeded random restarts run batched and share one correlation table
-(marginal coefficients may differ per row).  A batch takes theta = None
-(free: each row draws its starting angle) or one float; a row's state,
-returned and accepted as a warm start, is its effect coordinates xa, xb
-and, at free theta, its Schmidt angle.
+so u_a = u_b = (1, 0, 0, c), and its behavior is one trace formula
+(`model_behavior` is w = 1):
+
+    p_a = (t + c r_z) / 2,
+    p_ab = (t_a t_b + c (t_a r_bz + t_b r_az) + w r_az r_bz
+            + s (r_ax r_bx - r_ay r_by)) / 4.
+
+A functional's value is one bilinear form plus marginal terms, and the
+optimizer is coordinate ascent on it.  With
+the partner fixed, one product with kron(C, Omega) plus the marginal term
+gives each setting's field G, and an effect scores x . G: the best
+projector aligns r with g = G[1:] (value G[0] + |g|), the identity scores
+2 G[0] and the zero effect 0; the last two compete only when degenerate
+effects are allowed.  For a free state the block maximum is the top
+eigenvector psi of the Bell operator sum_ij T_ij sigma_i (x) sigma_j,
+T = X_a^T C X_b / 4 plus marginal rows.  A free row keeps psi in the
+frame its effects live in, with Omega_ij = <psi|sigma_i (x) sigma_j|psi>
+/ 4.  Fixed or free, an Omega passes one kernel path (`_kernels`) to its
+kernels and marginal vectors: a fixed state's is shared by all rows, a
+free row's is its own.  Only a free row's output is put in Schmidt form:
+the local unitaries fold into the measurements as SO(3) rotations of the
+Bloch vectors.  Every step is an exact block maximum, so a plain sweep F
+(`_sweep`) never lowers the value; seeded random restarts run batched and
+share one correlation table (marginal coefficients may differ per row).
+A batch takes theta = None (free: each row draws its starting angle) or
+one float; a row's state, returned and accepted as a warm start, is its
+effect coordinates xa, xb and, at free theta, its Schmidt angle.
 
 F is a monotone fixed-point map, like EM, and plain sweeps creep where it
 contracts slowly, so rank-1 rows run guarded SQUAREM cycles (Varadhan &
@@ -89,6 +99,7 @@ KIND_ALWAYS_ONE = "always_one"    # "0" effect is the zero operator
 # a kind code is the trace of its "0" effect (t + r.sigma)/2
 _ZERO, _PROJ, _ID = 0, 1, 2
 _KIND_NAMES = {_PROJ: KIND_PROJECTOR, _ID: KIND_ALWAYS_ZERO, _ZERO: KIND_ALWAYS_ONE}
+_TRACE = {name: t for t, name in _KIND_NAMES.items()}
 
 _PAULI = np.array([
     [[1, 0], [0, 1]],
@@ -156,40 +167,25 @@ class QuantumResult:
     row_sweeps: int      # map evaluations summed over restarts
     converged: int       # restarts stopped by _TOL, not by _MAX_SWEEPS
     accepted: int        # cycles that kept their SQUAREM trial point, over restarts
-    history: tuple[tuple[float, ...], ...] | None = None
 
 
-def _pair_prob(theta: float, a: Measurement, b: Measurement) -> float:
-    if a.kind == KIND_ALWAYS_ONE or b.kind == KIND_ALWAYS_ONE:
-        return 0.0
-    if a.kind == KIND_ALWAYS_ZERO and b.kind == KIND_ALWAYS_ZERO:
-        return 1.0
-    c = math.cos(2 * theta)
-    if a.kind == KIND_ALWAYS_ZERO:
-        return (1 + c * b.bloch[2]) / 2
-    if b.kind == KIND_ALWAYS_ZERO:
-        return (1 + c * a.bloch[2]) / 2
-    s = math.sin(2 * theta)
-    ax, ay, az = a.bloch
-    bx, by, bz = b.bloch
-    return (1 + c * (az + bz) + az * bz + s * (ax * bx - ay * by)) / 4
-
-
-def _marg_prob(theta: float, m: Measurement) -> float:
-    if m.kind == KIND_ALWAYS_ZERO:
-        return 1.0
-    if m.kind == KIND_ALWAYS_ONE:
-        return 0.0
-    return (1 + math.cos(2 * theta) * m.bloch[2]) / 2
+def _mixed_behavior(m: QubitModel, w: float) -> Behavior:
+    """Behavior of the model's measurements on w |psi><psi| + (1 - w) 1/4:
+    the trace formula of the module docstring, each effect read as its
+    trace t and Bloch vector r."""
+    c, s = w * math.cos(2 * m.theta), w * math.sin(2 * m.theta)
+    alice, bob = ([(_TRACE[x.kind], x.bloch or (0.0, 0.0, 0.0)) for x in meas]
+                  for meas in (m.alice_meas, m.bob_meas))
+    return Behavior([(t + c * r[2]) / 2 for t, r in alice],
+                    [(t + c * r[2]) / 2 for t, r in bob],
+                    [[(ta * tb + c * (ta * rb[2] + tb * ra[2]) + w * ra[2] * rb[2]
+                       + s * (ra[0] * rb[0] - ra[1] * rb[1])) / 4 for tb, rb in bob]
+                     for ta, ra in alice])
 
 
 def model_behavior(m: QubitModel) -> Behavior:
     """Closed-form behavior of the model on the pure Schmidt state."""
-    p_a = tuple(_marg_prob(m.theta, a) for a in m.alice_meas)
-    p_b = tuple(_marg_prob(m.theta, b) for b in m.bob_meas)
-    p_ab = tuple(tuple(_pair_prob(m.theta, a, b) for b in m.bob_meas)
-                 for a in m.alice_meas)
-    return Behavior(p_a, p_b, p_ab)
+    return _mixed_behavior(m, 1.0)
 
 
 # Batched see-saw engine.  All arrays carry a leading batch axis; one row is
@@ -205,7 +201,7 @@ def _random_bloch(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _omega(theta, w):
     """Omega (k, 4, 4) of the Schmidt state at each angle, mixed with
-    visibility w, and wc = w cos 2theta as a (k, 1) column."""
+    visibility w."""
     wc, ws = w * np.cos(2 * theta), w * np.sin(2 * theta)
     omega = np.zeros(theta.shape + (4, 4))
     omega[:, 0, 0] = 0.25
@@ -213,7 +209,7 @@ def _omega(theta, w):
     omega[:, 1, 1] = ws / 4.0
     omega[:, 2, 2] = -ws / 4.0
     omega[:, 3, 3] = w / 4.0
-    return omega, wc[:, None]
+    return omega
 
 
 def _omega_state(psi):
@@ -234,41 +230,30 @@ def _kron_table(C):
 
 
 def _kernels(table, omega):
-    """Per Omega: Alice's field kernel and Bob's kron(C, Omega) (k, 4 m_a,
-    4 m_b), whose transpose it is.  Each entry of the product with the
+    """Per Omega (k, 4, 4): Alice's field kernel, Bob's kron(C, Omega)
+    (k, 4 m_a, 4 m_b), whose transpose it is, and the marginal vectors
+    u_a = 4 Omega[:, :, 0] and u_b = 4 Omega[:, 0, :] (k, 4); a Schmidt
+    state's are (1, 0, 0, wc) exactly.  Each entry of the product with the
     table has one nonzero term, so it is exact and sums across no rows."""
     k = len(omega)
     kb = (omega.reshape(k, 16) @ table.reshape(16, -1)).reshape((k,) + table.shape[1:])
-    return np.ascontiguousarray(kb.transpose(0, 2, 1)), kb
-
-
-def _state_kernels(table, psi):
-    """Field kernels of each row's state psi and its marginal vectors
-    u_a = 4 Omega[:, 0], u_b = 4 Omega[0, :] (n, 4)."""
-    omega = _omega_state(psi)
-    return (*_kernels(table, omega), 4.0 * omega[:, :, 0], 4.0 * omega[:, 0, :])
+    return (np.ascontiguousarray(kb.transpose(0, 2, 1)), kb,
+            4.0 * omega[:, :, 0], 4.0 * omega[:, 0, :])
 
 
 def _field(M, x, K, u):
     """(n, m, 4) scores of one party's effects given the partner's x (M is
-    halved): the value is x_self . field plus the partner's marginal term.
-    u is the party's marginal vector, (n, 4) per free row; a fixed state's
-    is (1, 0, 0, wc), passed as the (1, 1) wc and added as its two nonzero
-    entries.  One stacked product per row; none sums across rows."""
+    halved): the value is x_self . field plus the partner's marginal term,
+    u the party's marginal vector.  One stacked product per row; none sums
+    across rows."""
     G = np.matmul(x.reshape(len(x), 1, -1), K).reshape(M.shape + (4,))
-    if u.shape[-1] == 4:
-        G += M[..., None] * u[:, None, :]
-    else:
-        G[..., 0] += M
-        G[..., 3] += M * u
+    G += M[..., None] * u[:, None, :]
     return G
 
 
 def _marginal(M, x, u):
-    """A party's marginal term, M halved: an effect occurs with x . u / 2,
-    u as in _field."""
-    p = np.matmul(x, u[:, :, None])[..., 0] if u.shape[-1] == 4 else x[..., 0] + u * x[..., 3]
-    return np.einsum("nm,nm->n", M, p)
+    """A party's marginal term, M halved: an effect occurs with x . u / 2."""
+    return np.einsum("nm,nm->n", M, np.matmul(x, u[:, :, None])[..., 0])
 
 
 def _value(xa, fa, MB, xb, ub):
@@ -341,8 +326,8 @@ def _sweep(s, C, table, allow_degenerate):
     rows' state s: Alice's block maximum against her field s["fa"], Bob's
     against her new effects and, with a free state (s holds psi), the
     state's.  s holds each row's halved MA and MB, its effects xa and xb,
-    fa and value, and the field kernels ka, kb and marginal vectors ua, ub:
-    per row with a free state, shared at fixed theta (ua = ub = wc).
+    fa and value, and the field kernels ka, kb and marginal vectors ua, ub
+    (`_kernels`): per row with a free state, shared at fixed theta.
     Returns the new state, with Alice's field for the next sweep and the
     new values; s itself is left as it was."""
     MA, MB = s["MA"], s["MB"]
@@ -351,7 +336,7 @@ def _sweep(s, C, table, allow_degenerate):
     new = {**s, "xa": xa, "xb": xb}
     if "psi" in s:
         new["psi"] = _state_step(MA, MB, C, xa, xb)
-        new["ka"], new["kb"], new["ua"], new["ub"] = _state_kernels(table, new["psi"])
+        new["ka"], new["kb"], new["ua"], new["ub"] = _kernels(table, _omega_state(new["psi"]))
         new["fa"] = _field(MA, xb, new["ka"], new["ua"])
         new["values"] = _value(xa, new["fa"], MB, xb, new["ub"])
     else:
@@ -446,13 +431,10 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
     if free:  # a row's state is psi in the frame of its effects
         s["psi"] = np.zeros((n, 4), dtype=complex)
         s["psi"][:, 0], s["psi"][:, 3] = np.cos(theta), np.sin(theta)
-        s["ka"], s["kb"], s["ua"], s["ub"] = _state_kernels(table, s["psi"])
-        shared = ()
+        omega, shared = _omega_state(s["psi"]), ()
     else:  # one Schmidt state, shared by all rows
-        omega, s["ua"] = _omega(theta[:1], w)
-        s["ka"], s["kb"] = _kernels(table, omega)
-        s["ub"] = s["ua"]
-        shared = ("ka", "kb", "ua", "ub")
+        omega, shared = _omega(theta[:1], w), ("ka", "kb", "ua", "ub")
+    s["ka"], s["kb"], s["ua"], s["ub"] = _kernels(table, omega)
     s["fa"] = _field(MA, xb, s["ka"], s["ua"])  # Alice's field, ready for the next sweep
     s["values"] = _value(xa, s["fa"], MB, xb, s["ub"])
     saved = ("values", "xa", "xb") + (("psi",) if free else ())
@@ -550,26 +532,19 @@ def _coefficient_arrays(f: BellFunctional):
 
 
 def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
-                    theta: float | None = None, allow_degenerate: bool = False,
-                    record_history: bool = False) -> QuantumResult:
+                    theta: float | None = None, allow_degenerate: bool = False) -> QuantumResult:
     """Best raw value of I over `restarts` seeded see-saw runs of at most
     _MAX_SWEEPS map evaluations.
 
     theta=None optimizes the Schmidt angle; a float fixes it.  The returned
-    value is the maximum of I itself, not I minus the bound.  With
-    `record_history` each run's value after every evaluation is returned.
+    value is the maximum of I itself, not I minus the bound.
     """
     if theta is not None and not 0.0 <= theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside [0, pi/4]")
     MA, MB, C = _coefficient_arrays(f)
     value, _, model, _, state = _best_of_groups(
         MA[None], MB[None], np.zeros(1), C, restarts=restarts, theta=theta,
-        allow_degenerate=allow_degenerate, rng=np.random.default_rng(seed),
-        record=record_history)
-    history = None
-    if record_history:
-        arr = np.stack(state["history"], axis=1)  # (n, sweeps+1)
-        history = tuple(tuple(float(v) for v in row) for row in arr)
+        allow_degenerate=allow_degenerate, rng=np.random.default_rng(seed))
     return QuantumResult(
         value=value,
         violation=value - float(f.bound),
@@ -580,5 +555,4 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
         row_sweeps=int(state["row_sweeps"].sum()),
         converged=int(state["converged"].sum()),
         accepted=int(state["accepted"].sum()),
-        history=history,
     )

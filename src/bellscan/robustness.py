@@ -1,8 +1,9 @@
 """Noise and detection-efficiency thresholds.
 
 Noise model: the isotropic mixture rho_w = w |psi(theta)><psi(theta)| +
-(1-w) 1/4.  For rank-1 projective measurements the fully mixed component
-contributes the measurement-independent value
+(1-w) 1/4, whose behavior is `quantum`'s one trace formula; this module
+models no noise of its own.  For rank-1 projective measurements the fully
+mixed component contributes the measurement-independent value
 
     N = sum M_A / 2 + sum M_B / 2 + sum C / 4,
 
@@ -21,31 +22,33 @@ image of the quantum behavior, so for fixed assignments and efficiencies
 the optimization collapses onto an effective coefficient table evaluated
 on the undetected behavior plus a constant.
 
-The symmetric threshold at theta = pi/4 with rank-1 effects is a closed
-form over f's strategy table D (`polytope`), D[s] the value of the
-deterministic strategy s = (s_a, s_b).  Every rank-1 marginal is 1/2
+Both efficiency thresholds at theta = pi/4 with rank-1 effects are
+closed forms over f's strategy table D (`polytope`), D[s] the value of
+the deterministic strategy s = (s_a, s_b).  Every rank-1 marginal is 1/2
 there, so where only Alice detects the value is Abar[s_b], the mean of D
 over her strategies s_a, and where only Bob detects it is Bbar[s_a], the
 mean over s_b.  For no-click bits s the best detected value is
 
-    I'(eta) = eta^2 Q(pi/4) + eta (1 - eta) (Abar + Bbar) + (1 - eta)^2 D,
+    I'(eta) = eta^2 Q(pi/4) + eta (1 - eta) (Abar + Bbar) + (1 - eta)^2 D
 
-a quadratic in eta whose measurement optimum Q(pi/4) depends on neither s
-nor eta.  The threshold is the smallest root, over all 2^(m_a+m_b)
-assignments, at the bound plus a small margin, so the model and the bits
-witness a violation there.  Both closed forms, w* and this eta, read one
-fixed-theta see-saw optimum for Q(pi/4); a caller that already holds that
-optimum (the benchmark table does) passes it on instead of re-running it.
+at eta_A = eta_B = eta, and I'(eta_B) = eta_B Q(pi/4) + (1 - eta_B)
+Abar[s_b] at eta_A = 1, whose measurement optimum Q(pi/4) depends on
+neither s nor the efficiency.  The threshold is the smallest root, over
+all 2^(m_a+m_b) assignments (2^m_b for eta_B), at the bound plus a small
+margin, so the model and the bits witness a violation there.  The closed
+forms, w* and both of these, read one fixed-theta see-saw optimum for
+Q(pi/4); a caller that already holds that optimum (the benchmark table
+does) passes it on instead of re-running it.
 
-Elsewhere (theta < pi/4, degenerate effects, or the one-sided eta_B) a
-threshold p (w, or the efficiency) comes from one witnessed root-finder
-from above, Newton/Dinkelbach style (Dinkelbach, Management Science 13,
-492, 1967).  The violating set is an interval ending at p = 1: a party can
-always discard detections to simulate a lower efficiency.  A witness is
-a model plus, for detection, its no-click bits.  For a fixed witness the
+Elsewhere (theta < pi/4, or degenerate effects) a threshold p (w, or
+the efficiency) comes from one witnessed root-finder from above,
+Newton/Dinkelbach style (Dinkelbach, Management Science 13, 492, 1967).
+The violating set is an interval ending at p = 1: a party can always
+discard detections to simulate a lower efficiency.  A witness is a model
+plus, for detection, its no-click bits.  For a fixed witness the
 value is affine in w and in eta_B, and quadratic in a symmetric eta; it is
 fitted from the witness's values at p = 0, 1/2 and 1, each read through
-`model_behavior`, `detected_behavior` (or the noisy mixture) and
+`quantum`'s trace formula (at w for the noise), `detected_behavior` and
 `core.evaluate`.  The root-finder
 
   1. runs a decision batch at p = 1 (None if no row beats the bound plus
@@ -99,13 +102,11 @@ import numpy as np
 from .core import Behavior, BellFunctional, StructuralError, evaluate
 from .polytope import _bits, _strategy_table
 from .quantum import (
-    KIND_ALWAYS_ONE,
-    KIND_ALWAYS_ZERO,
-    KIND_PROJECTOR,
     QuantumResult,
     QubitModel,
     _best_of_groups,
     _coefficient_arrays,
+    _mixed_behavior,
     model_behavior,
     seesaw_maximize,
 )
@@ -126,8 +127,6 @@ __all__ = [
 _VIOLATION_MARGIN = 1e-9
 _ROOT_STEP = 1e-5  # each root-finder answer has a "no" decision this far below it
 _POLISH_SWEEPS = 30  # map evaluations of a capped maximization at a root
-# an effect's probability on the fully mixed state: half its trace
-_MIXED_MARGINAL = {KIND_PROJECTOR: 0.5, KIND_ALWAYS_ZERO: 1.0, KIND_ALWAYS_ONE: 0.0}
 
 
 @dataclass(frozen=True)
@@ -234,17 +233,6 @@ def _threshold_from_above(tables, value, target, *, restarts, rng, **engine_opti
         p = max(hi - _ROOT_STEP, 0.0) if decide else hi
 
 
-def _noisy_behavior(m: QubitModel, w: float) -> Behavior:
-    """Behavior of the model's measurements on w |psi><psi| + (1 - w) 1/4:
-    on the fully mixed part an effect occurs with half its trace."""
-    pure = model_behavior(m)
-    t_a, t_b = ([_MIXED_MARGINAL[x.kind] for x in meas] for meas in (m.alice_meas, m.bob_meas))
-    return Behavior([w * p + (1 - w) * t for p, t in zip(pure.p_a, t_a)],
-                    [w * p + (1 - w) * t for p, t in zip(pure.p_b, t_b)],
-                    [[w * p + (1 - w) * a * b for p, b in zip(row, t_b)]
-                     for row, a in zip(pure.p_ab, t_a)])
-
-
 def noise_threshold(f: BellFunctional, theta: float, *,
                     allow_degenerate: bool = False, restarts: int = 50,
                     seed: int = 0) -> NoiseResult | None:
@@ -267,7 +255,7 @@ def noise_threshold(f: BellFunctional, theta: float, *,
     MA, MB, C = _coefficient_arrays(f)
     found = _threshold_from_above(
         lambda w: (MA[None], MB[None], np.zeros(1), C, w),
-        lambda witness, w: float(evaluate(f, _noisy_behavior(witness[0], w))),
+        lambda witness, w: float(evaluate(f, _mixed_behavior(witness[0], w))),
         float(f.bound) + _VIOLATION_MARGIN, restarts=restarts,
         rng=np.random.default_rng(seed), theta=theta, allow_degenerate=True)
     if found is None:
@@ -318,6 +306,9 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
                    allow_degenerate: bool) -> DetectionResult | None:
     if not 0.0 < theta <= math.pi / 4 + 1e-12:
         raise StructuralError(f"theta {theta} outside (0, pi/4]")
+    if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
+        best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
+        return _eta_at_maximal_entanglement(f, best, symmetric)
     ma, mb = f.scenario.m_a, f.scenario.m_b
     MA, MB, C = _coefficient_arrays(f)
     if symmetric:
@@ -349,32 +340,39 @@ def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
                            batches=batches, row_sweeps=row_sweeps)
 
 
-def _quadratic_at_maximal_entanglement(f: BellFunctional, value: float):
+def _quadratic_at_maximal_entanglement(f: BellFunctional, value: float,
+                                       symmetric: bool = True):
     """(det, b, d) with I'(eta) = det + b eta + d eta^2 at every no-click
-    assignment s = s_a + 2^m_a s_b, from the pi/4 rank-1 optimum `value`
-    (see the module docstring); det is f's strategy table."""
+    assignment, from the pi/4 rank-1 optimum `value` (see the module
+    docstring): symmetric at s = s_a + 2^m_a s_b, where det is f's strategy
+    table, or one-sided (eta_A = 1) at s_b, where it is (Abar, Q - Abar, 0)."""
     ma, mb = f.scenario.m_a, f.scenario.m_b
     table = _strategy_table(f).astype(float).reshape(1 << mb, 1 << ma)  # [s_b, s_a]
     alice = table.mean(axis=1, keepdims=True)  # Abar[s_b]
+    if not symmetric:
+        return alice.ravel(), (value - alice).ravel(), np.zeros(1 << mb)
     bob = table.mean(axis=0, keepdims=True)    # Bbar[s_a]
     return (table.ravel(), (alice + bob - 2 * table).ravel(),
             (value - alice - bob + table).ravel())
 
 
-def _eta_at_maximal_entanglement(f: BellFunctional,
-                                 best: QuantumResult) -> DetectionResult | None:
-    """Closed-form symmetric threshold at theta = pi/4 with rank-1 effects
-    from the fixed-theta optimum `best`."""
+def _eta_at_maximal_entanglement(f: BellFunctional, best: QuantumResult,
+                                 symmetric: bool = True) -> DetectionResult | None:
+    """Closed-form threshold at theta = pi/4 with rank-1 effects from the
+    fixed-theta optimum `best`: the symmetric eta, or eta_B at eta_A = 1."""
     target = float(f.bound) + _VIOLATION_MARGIN
     if best.value <= target:
         return None
-    roots = _smallest_roots(*_quadratic_at_maximal_entanglement(f, best.value), target)
+    roots = _smallest_roots(
+        *_quadratic_at_maximal_entanglement(f, best.value, symmetric), target)
     assign = int(np.argmin(roots))
     eta = min(float(roots[assign]), 1.0)
     ma, mb = f.scenario.m_a, f.scenario.m_b
+    if not symmetric:
+        assign <<= ma  # s_a = 0: Alice always detects
     bits = tuple(int(v) for v in _bits(np.array([assign]), ma + mb)[0])
-    return DetectionResult(eta=eta, eta_a=eta, eta_b=eta, model=best.model,
-                           noclick_a=bits[:ma], noclick_b=bits[ma:],
+    return DetectionResult(eta=eta, eta_a=eta if symmetric else 1.0, eta_b=eta,
+                           model=best.model, noclick_a=bits[:ma], noclick_b=bits[ma:],
                            batches=1, row_sweeps=best.row_sweeps)
 
 
@@ -387,9 +385,6 @@ def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
     At theta = pi/4 with rank-1 effects the threshold is a closed form over
     one see-saw at fixed theta (`restarts` restarts, default sweep cap);
     otherwise it comes from the witnessed root-finder."""
-    if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
-        best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
-        return _eta_at_maximal_entanglement(f, best)
     return _eta_threshold(f, theta, True, seed=seed, restarts=restarts,
                           allow_degenerate=allow_degenerate)
 
@@ -397,7 +392,8 @@ def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
 def eta_threshold_asymmetric(f: BellFunctional, theta: float = math.pi / 4, *,
                              seed: int = 0, restarts: int = 8,
                              allow_degenerate: bool = False) -> DetectionResult | None:
-    """Threshold eta_B with a perfect detector on Alice's side (eta_A = 1)."""
+    """Threshold eta_B with a perfect detector on Alice's side (eta_A = 1),
+    found as eta_threshold_symmetric finds eta."""
     return _eta_threshold(f, theta, False, seed=seed, restarts=restarts,
                           allow_degenerate=allow_degenerate)
 

@@ -8,9 +8,9 @@ the state in the frame of its effects and is checked against it."""
 
 import numpy as np
 
-from bellscan.quantum import (_ID, _MAX_SWEEPS, _PROJ, _TOL, _best_effects, _field, _kron_table,
-                              _omega, _schmidt_form, _state_kernels, _state_step, _sweep,
-                              _value)
+from bellscan.quantum import (_ID, _MAX_SWEEPS, _PROJ, _TOL, _best_effects, _field, _kernels,
+                              _kron_table, _omega, _omega_state, _schmidt_form, _state_step,
+                              _sweep, _value)
 
 _SIGMA = np.array([
     [[0, 1], [1, 0]],
@@ -102,11 +102,14 @@ def _update_state(MA, MB, C, akind, abloch, bkind, bbloch):
 
 def _schmidt_kernels(C, theta):
     """Per row: Alice's field kernel, Bob's kron(C, Omega) built by
-    broadcasting, and wc (n, 1), for the Schmidt state at each angle."""
-    omega, wc = _omega(theta, 1.0)
+    broadcasting, and the marginal vector u = (1, 0, 0, cos 2theta) (n, 4)
+    that both parties share, for the Schmidt state at each angle."""
+    omega = _omega(theta, 1.0)
     (ma, mb), n = C.shape, len(theta)
     kb = (C[:, None, :, None] * omega[:, None, :, None, :]).reshape(n, 4 * ma, 4 * mb)
-    return np.ascontiguousarray(kb.transpose(0, 2, 1)), kb, wc
+    u = np.zeros((n, 4))
+    u[:, 0], u[:, 3] = 1.0, np.cos(2 * theta)
+    return np.ascontiguousarray(kb.transpose(0, 2, 1)), kb, u
 
 
 def _schmidt_step(MA, MB, C, xa, xb):
@@ -120,12 +123,12 @@ def _schmidt_sweep(s, C, allow_degenerate):
     Schmidt form, and the kernels rebuilt from its angle."""
     MA, MB = s["MA"], s["MB"]
     xa, _ = _best_effects(s["fa"], allow_degenerate)
-    xb, _ = _best_effects(_field(MB, xa, s["kb"], s["wc"]), allow_degenerate)
+    xb, _ = _best_effects(_field(MB, xa, s["kb"], s["u"]), allow_degenerate)
     theta, xa, xb = _schmidt_step(MA, MB, C, xa, xb)
-    ka, kb, wc = _schmidt_kernels(C, theta)
-    fa = _field(MA, xb, ka, wc)
-    return {**s, "theta": theta, "xa": xa, "xb": xb, "fa": fa, "kb": kb, "wc": wc,
-            "values": _value(xa, fa, MB, xb, wc)}
+    ka, kb, u = _schmidt_kernels(C, theta)
+    fa = _field(MA, xb, ka, u)
+    return {**s, "theta": theta, "xa": xa, "xb": xb, "fa": fa, "kb": kb, "u": u,
+            "values": _value(xa, fa, MB, xb, u)}
 
 
 def _plain_run(sweep, s):
@@ -157,10 +160,10 @@ def schmidt_frame_batch(MA, MB, C, init, allow_degenerate):
     _plain_run: returns the final state (`values`, `theta`, `row_sweeps`
     among it) and the history."""
     MA, MB = MA / 2.0, MB / 2.0
-    ka, kb, wc = _schmidt_kernels(C, init["theta"])
-    fa = _field(MA, init["xb"], ka, wc)
+    ka, kb, u = _schmidt_kernels(C, init["theta"])
+    fa = _field(MA, init["xb"], ka, u)
     s = {"MA": MA, "MB": MB, "theta": init["theta"], "xa": init["xa"], "xb": init["xb"],
-         "fa": fa, "kb": kb, "wc": wc, "values": _value(init["xa"], fa, MB, init["xb"], wc)}
+         "fa": fa, "kb": kb, "u": u, "values": _value(init["xa"], fa, MB, init["xb"], u)}
     return _plain_run(lambda s: _schmidt_sweep(s, C, allow_degenerate), s)
 
 
@@ -172,7 +175,7 @@ def lab_frame_batch(MA, MB, C, init, allow_degenerate):
     psi[:, 0], psi[:, 3] = np.cos(init["theta"]), np.sin(init["theta"])
     table = _kron_table(C)
     s = {"MA": MA / 2.0, "MB": MB / 2.0, "xa": init["xa"], "xb": init["xb"], "psi": psi}
-    s["ka"], s["kb"], s["ua"], s["ub"] = _state_kernels(table, psi)
+    s["ka"], s["kb"], s["ua"], s["ub"] = _kernels(table, _omega_state(psi))
     s["fa"] = _field(s["MA"], s["xb"], s["ka"], s["ua"])
     s["values"] = _value(s["xa"], s["fa"], s["MB"], s["xb"], s["ub"])
     out, history = _plain_run(lambda s: _sweep(s, C, table, allow_degenerate), s)

@@ -19,10 +19,12 @@ from bellscan.quantum import (
     _REACH,
     _ZERO,
     _best_effects,
+    _best_of_groups,
     _coefficient_arrays,
     _field,
     _kernels,
     _kron_table,
+    _mixed_behavior,
     _model_from_row,
     _omega,
     _omega_state,
@@ -99,6 +101,35 @@ def test_model_behavior_degenerate_kinds():
     assert p.p_a == (0.0,) and p.p_ab == ((0.0,),)
 
 
+@pytest.mark.parametrize("w", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("theta", [0.0, 0.2, math.pi / 4])
+def test_mixed_behavior_matches_density_matrix(theta, w):
+    # oracle: Tr[(E_a (x) E_b) rho_w] with complex 2x2 effects on
+    # rho_w = w |psi><psi| + (1 - w) 1/4; both parties hold projectors,
+    # the identity and the zero effect, so all nine kind pairs occur
+    rng = np.random.default_rng(41)
+    degenerate = (Measurement(KIND_ALWAYS_ZERO), Measurement(KIND_ALWAYS_ONE))
+    alice = (projector(rng.normal(size=3)), *degenerate, projector(rng.normal(size=3)))
+    bob = (*degenerate, projector(rng.normal(size=3)), projector(rng.normal(size=3)))
+    got = _mixed_behavior(QubitModel(theta, alice, bob), w)
+    codes = {KIND_PROJECTOR: _PROJ, KIND_ALWAYS_ZERO: _ID, KIND_ALWAYS_ONE: _ZERO}
+
+    def effects(meas):
+        kind = np.array([[codes[m.kind] for m in meas]])
+        bloch = np.array([[m.bloch or (0.0, 0.0, 0.0) for m in meas]])
+        return seesaw_oracle._effects(kind, bloch)[0]
+
+    psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
+    rho = (w * np.outer(psi, psi) + (1 - w) * np.eye(4) / 4).reshape(2, 2, 2, 2)
+    ea, eb = effects(alice), effects(bob)
+    p_ab = np.einsum("xij,ykl,jlik->xy", ea, eb, rho).real
+    p_a = np.einsum("xij,jkik->x", ea, rho).real
+    p_b = np.einsum("ykl,jljk->y", eb, rho).real
+    assert np.max(np.abs(np.array(got.p_ab) - p_ab)) <= 1e-15
+    assert np.max(np.abs(np.array(got.p_a) - p_a)) <= 1e-15
+    assert np.max(np.abs(np.array(got.p_b) - p_b)) <= 1e-15
+
+
 def test_model_behavior_box_invariants_random():
     # Behavior.__post_init__ enforces the box constraints; it must never raise
     rng = random.Random(2024)
@@ -137,9 +168,10 @@ def test_seesaw_value_reproducible():
 
 def test_seesaw_monotone_history():
     for name in ("CHSH", "I4422_2", "I4422_7"):
-        f = catalog_get(name).functional
-        r = seesaw_maximize(f, restarts=8, seed=5, record_history=True)
-        for row in r.history:
+        MA, MB, C = _coefficient_arrays(catalog_get(name).functional)
+        *_, state = _best_of_groups(MA[None], MB[None], np.zeros(1), C, restarts=8,
+                                    rng=np.random.default_rng(5), record=True)
+        for row in np.stack(state["history"], axis=1).tolist():
             diffs = [b - a for a, b in zip(row, row[1:])]
             assert min(diffs) >= -1e-9
 
@@ -475,14 +507,13 @@ def test_block_maxima_match_oracle(w, theta, allow_degenerate):
     MA = MA + rng.normal(size=(n, MA.size))
     MB = MB + rng.normal(size=(n, MB.size))
     wc, ws = np.full(n, w * math.cos(2 * theta)), np.full(n, w * math.sin(2 * theta))
-    omega, wc1 = _omega(np.array([theta]), w)
-    ka, kb = _kernels(_kron_table(C), omega)
+    ka, kb, ua, ub = _kernels(_kron_table(C), _omega(np.array([theta]), w))
     xa, xb = state["xa"], state["xb"]
-    got = _value(xa, _field(MA / 2, xb, ka, wc1), MB / 2, xb, wc1)
+    got = _value(xa, _field(MA / 2, xb, ka, ua), MB / 2, xb, ub)
     oracle = _values(MA, MB, C, wc, ws, w, *_split(state))
     assert np.max(np.abs(got - oracle)) <= 1e-12
-    for M, CC, K, other in ((MA, C, ka, xb), (MB, C.T, kb, xa)):
-        x, best = _best_effects(_field(M / 2, other, K, wc1), allow_degenerate)
+    for M, CC, K, other, u in ((MA, C, ka, xb, ua), (MB, C.T, kb, xa, ub)):
+        x, best = _best_effects(_field(M / 2, other, K, u), allow_degenerate)
         kind, bloch, oracle_best = seesaw_oracle._update_party(
             M, CC, wc, ws, w, other[..., 0], other[..., 1:], allow_degenerate)
         assert np.array_equal(x[..., 0], kind)
@@ -564,14 +595,21 @@ def test_lab_frame_matches_schmidt_frame():
     theta = rng.uniform(0.0, math.pi / 4, 50)
     psi = np.zeros((50, 4), dtype=complex)
     psi[:, 0], psi[:, 3] = np.cos(theta), np.sin(theta)
-    assert np.max(np.abs(_omega_state(psi) - _omega(theta, 1.0)[0])) <= 1e-15
-    # the table product is the broadcast kron exactly, for any Omega
+    assert np.max(np.abs(_omega_state(psi) - _omega(theta, 1.0))) <= 1e-15
+    # the table product is the broadcast kron exactly, for any Omega, and the
+    # marginal vectors are its first column and row; a mixed Schmidt state's
+    # are (1, 0, 0, wc) exactly
+    schmidt = np.zeros((7, 4))
+    schmidt[:, 0], schmidt[:, 3] = 1.0, 0.7 * np.cos(2 * theta[:7])
     for ma, mb in ((2, 3), (4, 4)):
         C = rng.integers(-3, 4, size=(ma, mb)).astype(float)
-        omega = rng.normal(size=(7, 4, 4))
-        ka, kb = _kernels(_kron_table(C), omega)
-        kron = (C[:, None, :, None] * omega[:, None, :, None, :]).reshape(7, 4 * ma, 4 * mb)
-        assert np.array_equal(kb, kron) and np.array_equal(ka, kron.transpose(0, 2, 1))
+        for omega, u in ((rng.normal(size=(7, 4, 4)), None), (_omega(theta[:7], 0.7), schmidt)):
+            ka, kb, ua, ub = _kernels(_kron_table(C), omega)
+            kron = (C[:, None, :, None] * omega[:, None, :, None, :]).reshape(7, 4 * ma, 4 * mb)
+            assert np.array_equal(kb, kron) and np.array_equal(ka, kron.transpose(0, 2, 1))
+            assert np.array_equal(ua, 4 * omega[:, :, 0]) and np.array_equal(ub, 4 * omega[:, 0])
+            if u is not None:
+                assert np.array_equal(ua, u) and np.array_equal(ub, u)
 
 
 def _check_values(f, state, w):

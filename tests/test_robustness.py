@@ -253,6 +253,22 @@ def assert_closed_form_matches_bit_algebra(f, best, *, witnessed=True):
         assert value > float(f.bound)
 
 
+@pytest.mark.parametrize("name", ["CHSH", "I3322", "I4422_2"])
+def test_eta_b_closed_form_matches_the_root_finder(name):
+    # at pi/4 every rank-1 marginal is 1/2, so eta_B is linear in eta_B for
+    # each no-click s_b, with the one optimum Q(pi/4): one see-saw batch.
+    # The root-finder just off pi/4 finds the same threshold, and the
+    # closed form's model and bits witness a violation at it
+    f = catalog_get(name).functional
+    r = eta_threshold_asymmetric(f, math.pi / 4, seed=1)
+    assert r.batches == 1 and r.eta_a == 1.0 and r.noclick_a == (0,) * f.scenario.m_a
+    found = eta_threshold_asymmetric(f, math.pi / 4 - 1e-9, seed=1)
+    assert found.batches > 1
+    assert abs(r.eta - found.eta) <= 1e-6
+    d = DetectionModel(1.0, r.eta, r.noclick_a, r.noclick_b)
+    assert float(evaluate(f, detected_behavior(model_behavior(r.model), d))) > float(f.bound)
+
+
 def test_closed_form_matches_bit_algebra_on_the_table():
     for name in PRIMARY_NAMES:
         if name in table.DEGENERATE_ROWS:
@@ -534,8 +550,8 @@ def test_root_finder_returns_zero_when_every_p_violates(monkeypatch):
     counted_batches(monkeypatch, limit=10)
     w = noise_threshold(LOW_BOUND, math.pi / 4, allow_degenerate=True, restarts=3, seed=1)
     assert w.w_threshold == 0.0 and w.batches <= 4
-    assert float(evaluate(LOW_BOUND, robustness._noisy_behavior(w.model, 0.0))) > -1
-    for r in (eta_threshold_asymmetric(LOW_BOUND, restarts=3, seed=1),
+    assert float(evaluate(LOW_BOUND, quantum._mixed_behavior(w.model, 0.0))) > -1
+    for r in (eta_threshold_asymmetric(LOW_BOUND, 0.2 * math.pi, restarts=3, seed=1),
               eta_threshold_symmetric(LOW_BOUND, 0.2 * math.pi, restarts=3, seed=1)):
         assert r.eta == 0.0 and r.batches <= 4
         d = DetectionModel(r.eta_a, r.eta_b, r.noclick_a, r.noclick_b)
