@@ -1,14 +1,21 @@
 """Local bounds, saturating strategies and the facet (tightness) test.
 
-Everything here is exact.  `_strategy_values` is the one scoring path for
-deterministic strategies: one GEMM of coefficient tables against the 0/1
-behavior matrix, in float64 when max|coefficient| * d < 2^53 (so that every
-partial sum is an integer float64 holds exactly) and in Python integers
-otherwise.  The local bound, the saturating set, the facet test, search
-screening and the closed-form detection threshold at theta = pi/4 all read
-it, so its one guard (m_a + m_b <= 24) limits all of them.  A functional
-is a facet iff its bound is attained and the saturating points span an
-affine subspace of dimension d-1 (d the no-signaling dimension).
+Everything here is exact.  Deterministic strategies are scored two ways,
+both under `_exact_table`'s rule (float64 GEMMs when max|coefficient| * d <
+2^53, so that every partial sum is an integer float64 holds exactly, and
+Python integers otherwise) and its one guard (m_a + m_b <= 24):
+
+- `_best_responses` gives each table's local bound and its number of
+  saturating strategies from Bob's best response to each of Alice's 2^m_a
+  strategies, without the strategy table.  `local_bound` and the search
+  screen read it.
+- `_strategy_values` values tables at all 2^(m_a+m_b) strategies: one GEMM
+  against the 0/1 behavior matrix.  The saturating masks (the facet test
+  and the search's rank-tested candidates) and the closed-form detection
+  threshold at theta = pi/4 read it.
+
+A functional is a facet iff its bound is attained and the saturating points
+span an affine subspace of dimension d-1 (d the no-signaling dimension).
 `_affine_dims` takes that rank for a whole batch of saturating sets at
 once: Gaussian elimination modulo primes below 2^31, with as many primes
 as a Hadamard bound on the minors asks for.  It sorts the sets by size and
@@ -33,7 +40,10 @@ __all__ = [
 ]
 
 _ENUMERATION_LIMIT = 24  # m_a + m_b; 2^24 strategies enumerated at most
-_BLOCK = 1 << 16  # array elements per GEMM operand or product block
+# array elements per GEMM operand or product block: with these 256 KiB
+# float64 blocks the best-response screen ran exhaustive 3322 about 45%
+# faster than with 512 KiB ones, and random 4422 no slower (2 cores)
+_BLOCK = 1 << 15
 # int64 elements per rank stack: 256 KiB stacks ranked the exhaustive 3322
 # and random 4422 search sets about 20% faster than 512 KiB ones (2 cores),
 # and 2^14 was no faster
@@ -55,9 +65,15 @@ def ns_dimension(s: Scenario) -> int:
 
 
 def local_bound(f: BellFunctional) -> Fraction:
-    """Maximum over deterministic strategies: the largest entry of the
-    strategy table, under the one guard (CapacityError past m_a + m_b = 24)."""
-    return Fraction(int(_strategy_table(f).max()))
+    """Maximum over deterministic strategies, by Bob's best response to each
+    of Alice's 2^m_a strategies, under the one guard (CapacityError past
+    m_a + m_b = 24)."""
+    return Fraction(int(_best_responses(f.scenario, [_coefficients(f)])[0][0]))
+
+
+def _coefficients(f: BellFunctional) -> tuple:
+    """f as one coefficient row: M_A, M_B, then C by rows."""
+    return f.alice_marg + f.bob_marg + sum(f.corr, ())
 
 
 def _bits(indices: np.ndarray, m: int) -> np.ndarray:
@@ -74,18 +90,12 @@ def _behaviors(scenario: Scenario, indices: np.ndarray) -> np.ndarray:
     return np.hstack([bits, joint])
 
 
-def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
-    """Exact values of coefficient rows (M_A, M_B, then C by rows) at every
-    strategy: one column per strategy, numbered with Alice's bits low and
-    Bob's above.
-
-    A row's value at s is row . v_s, so the values are rows @ V^T for the
-    behavior matrix V.  In float64 that GEMM is exact when
-    max|coefficient| * d < 2^53: every partial sum is then an integer below
-    2^53, whatever the summation order.  Larger rows are scored in Python
-    integers.  V is built _BLOCK elements at a time, unless a caller that
-    scores many tables passes the whole of it as `behaviors`.
-    """
+def _exact_table(scenario: Scenario, rows) -> np.ndarray:
+    """Coefficient rows (M_A, M_B, then C by rows) as an (n, d) table that
+    scores exactly: float64 while max|coefficient| * d < 2^53, so that every
+    sum of at most d coefficients is an integer float64 holds whatever the
+    summation order, and Python integers (object) beyond that.  The one guard
+    of every scoring path: CapacityError past m_a + m_b = 24."""
     ma, mb = scenario.m_a, scenario.m_b
     if ma + mb > _ENUMERATION_LIMIT:
         raise CapacityError(f"scoring 2^{ma + mb} strategies exceeds the guard")
@@ -96,11 +106,24 @@ def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
     except OverflowError:
         exact = False
     if exact:
-        table = table.astype(np.float64)
-    else:
-        table = np.array(rows, dtype=object).reshape(-1, terms)
+        return table.astype(np.float64)
+    return np.array(rows, dtype=object).reshape(-1, terms)
+
+
+def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
+    """Exact values of coefficient rows (M_A, M_B, then C by rows) at every
+    strategy: one column per strategy, numbered with Alice's bits low and
+    Bob's above.
+
+    A row's value at s is row . v_s, so the values are rows @ V^T for the
+    behavior matrix V, taken in `_exact_table`'s dtype.  V is built _BLOCK
+    elements at a time, unless a caller that scores many tables passes the
+    whole of it as `behaviors`.
+    """
+    table = _exact_table(scenario, rows)
     if behaviors is not None:
         return table @ behaviors.T
+    ma, mb, terms = scenario.m_a, scenario.m_b, table.shape[1]
     count = 1 << (ma + mb)
     values = np.empty((len(table), count), dtype=table.dtype)
     step = max(1, _BLOCK // terms)
@@ -110,9 +133,66 @@ def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
     return values
 
 
+def _response_kernel(scenario: Scenario, alice: np.ndarray) -> np.ndarray:
+    """The (m_b+1, k, d) 0/1 kernel of k Alice strategies: row (0, s) picks
+    alpha(s) = M_A . s out of a coefficient row, and row (1+y, s) Bob's field
+    g_y(s) = M_B[y] + sum_x C_xy s_x."""
+    ma, mb = scenario.m_a, scenario.m_b
+    bits = _bits(alice, ma)
+    kernel = np.zeros((mb + 1, len(alice), ns_dimension(scenario)), dtype=np.int64)
+    kernel[0, :, :ma] = bits
+    kernel[1:, :, ma:ma + mb] = np.eye(mb, dtype=np.int64)[:, None, :]
+    kernel[1:, :, ma + mb:] = (bits[None, :, :, None]
+                               * np.eye(mb, dtype=np.int64)[:, None, None, :]).reshape(
+                                   mb, len(alice), ma * mb)
+    return kernel
+
+
+def _best_responses(scenario: Scenario, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each coefficient row's local bound and its number of saturating
+    strategies, without the 2^(m_a+m_b) strategy table.
+
+    At Alice's strategy s Bob answers each setting y on his own: the best
+    value is alpha(s) + sum_y max(g_y(s), 0), reached by 2^#{y : g_y(s) = 0}
+    of his strategies.  The bound is the largest best value over s, and the
+    count sums those powers of two over the s that reach it.  One GEMM of
+    the response kernel against a block of rows gives a strategy-major
+    (m_b+1, k, n) array, so every later step runs over contiguous rows of n
+    values and the maximum over s reduces across those rows.  Kernel blocks
+    and products hold at most _BLOCK elements (one Alice strategy at least);
+    the running maximum and count are merged over the kernel blocks.  The
+    arithmetic is `_exact_table`'s: every field and best value is a sum of
+    at most d coefficients.
+    """
+    table = _exact_table(scenario, rows)
+    ma, mb, terms = scenario.m_a, scenario.m_b, table.shape[1]
+    bounds = np.empty(len(table), dtype=table.dtype)
+    counts = np.zeros(len(table), dtype=np.int64)
+    step = max(1, _BLOCK // ((mb + 1) * terms))
+    for first in range(0, 1 << ma, step):
+        alice = np.arange(first, min(first + step, 1 << ma))
+        kernel = _response_kernel(scenario, alice).reshape(-1, terms).astype(table.dtype)
+        rows_per_gemm = max(1, _BLOCK // len(kernel))
+        for start in range(0, len(table), rows_per_gemm):
+            stop = start + rows_per_gemm
+            fields = (kernel @ table[start:stop].T).reshape(mb + 1, len(alice), -1)
+            bob = fields[1:]
+            power = 1 << (bob == 0).sum(axis=0)
+            best = np.maximum(bob, 0, out=bob).sum(axis=0)
+            best += fields[0]
+            bound = best.max(axis=0)
+            ties = (power * (best == bound)).sum(axis=0)
+            if first:
+                held = bounds[start:stop]
+                ties = np.where(bound > held, ties, counts[start:stop] + (bound == held) * ties)
+                bound = np.maximum(bound, held)
+            bounds[start:stop], counts[start:stop] = bound, ties
+    return bounds, counts
+
+
 def _strategy_table(f: BellFunctional) -> np.ndarray:
     """f's value at every deterministic strategy, Alice's bits low."""
-    return _strategy_values(f.scenario, [f.alice_marg + f.bob_marg + sum(f.corr, ())])[0]
+    return _strategy_values(f.scenario, [_coefficients(f)])[0]
 
 
 def _scored(f: BellFunctional) -> tuple[np.ndarray, np.ndarray]:

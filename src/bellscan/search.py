@@ -9,15 +9,18 @@ range and marginal columns ordered as
 there and "<=" later).  Every candidate's bound is its exact local bound,
 so the facet test is the only filter that matters.  Both halves of that
 test run on many candidates at once with the facet test's own helpers.
-The screen values each chunk at every deterministic strategy, one GEMM
-against the behavior matrix per sub-block of _BLOCK values (exact in
-float64 while max|coefficient| * d < 2^53, in Python integers beyond); the
-matrix is built once per run while it fits in _BLOCK elements.  A
-candidate's bound is its largest value.  Candidates with at least d
-saturating strategies are rank-tested: each chunk's such candidates join a
-queue (coefficient row, bound and bit-packed saturating mask, copied out of
-the chunk), and once it holds _RANK_QUEUE candidates, or the stream ends,
-each distinct mask in the queue is ranked once.  Many candidates share a
+The screen scores each chunk by Bob's best response to each of Alice's
+strategies (`polytope._best_responses`): a candidate's bound and its number
+of saturating strategies come without its strategy table.  Candidates with
+at least d saturating strategies are rank-tested, and only they are valued
+at every deterministic strategy, for their saturating masks: one GEMM
+against the behavior matrix per block of _BLOCK values, the matrix built
+once per run while it fits in _BLOCK elements.  Both are exact (float64
+while max|coefficient| * d < 2^53, Python integers beyond).  Each chunk's
+rank-tested candidates join a queue (coefficient row, bound and bit-packed
+saturating mask, copied out of the chunk), and once it holds _RANK_QUEUE
+candidates, or the stream ends, each distinct mask in the queue is ranked
+once.  Many candidates share a
 saturating set (exhaustive 3322: 3,484 rank-tested, 1,299 distinct).  The
 difference matrices V[sat] - V[first] are ranked in size-sorted stacks
 modulo as many primes as a Hadamard bound asks for.  The queue's candidates
@@ -68,7 +71,14 @@ from .core import (
     lift,
     serialize_functional,
 )
-from .polytope import _BLOCK, _affine_dims, _behaviors, _strategy_values, ns_dimension
+from .polytope import (
+    _BLOCK,
+    _affine_dims,
+    _behaviors,
+    _best_responses,
+    _strategy_values,
+    ns_dimension,
+)
 from .polytope import facet_check  # noqa: F401  (perfbench traces search.facet_check)
 from .symmetry import canonical_form, canonical_key
 
@@ -162,13 +172,23 @@ def _raw_candidates(cfg: SearchConfig) -> Iterator[np.ndarray]:
             raise CapacityError(
                 f"exhaustive space has {size} candidates (cap {EXHAUSTIVE_CAP}); "
                 "use random mode")
-        # mixed radix: Alice's tuple outermost, then Bob's, the last cell fastest
-        place = radix ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+        # mixed radix: Alice's tuple outermost, then Bob's, the last cell
+        # fastest; every digit is peeled off as c - c // radix * radix, which
+        # equals c % radix here and costs far less in numpy
+        ma, mb = cfg.scenario.m_a, cfg.scenario.m_b
         for start in range(0, size, _CHUNK):
             index = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-            marginals, corr = np.divmod(index, per_marginals)
-            yield np.hstack([a_rows[marginals // len(b_rows)], b_rows[marginals % len(b_rows)],
-                             lo + corr[:, None] // place % radix])
+            marginals = index // per_marginals
+            corr = index - marginals * per_marginals
+            alice = marginals // len(b_rows)
+            chunk = np.empty((len(index), ma + mb + cells), dtype=np.int64)
+            chunk[:, :ma] = a_rows[alice]
+            chunk[:, ma:ma + mb] = b_rows[marginals - alice * len(b_rows)]
+            for cell in range(ma + mb + cells - 1, ma + mb - 1, -1):
+                rest = corr // radix
+                chunk[:, cell] = lo + corr - rest * radix
+                corr = rest
+            yield chunk
     else:
         if not (len(a_rows) and len(b_rows)):
             raise StructuralError(
@@ -191,18 +211,20 @@ def _build(scenario: Scenario, row: np.ndarray, bound: int) -> BellFunctional:
 
 def _screen(scenario: Scenario, rows: np.ndarray, behaviors) -> tuple:
     """A chunk's candidates with at least d saturating strategies: their
-    rows, bounds and bit-packed saturating masks.  Fancy indexing copies
-    them, so a queue of these keeps no chunk array alive."""
-    d = ns_dimension(scenario)
-    rows_per_gemm = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
-    bounds, saturated = [], []
-    for start in range(0, len(rows), rows_per_gemm):
-        values = _strategy_values(scenario, rows[start:start + rows_per_gemm], behaviors)
-        bounds.append(values.max(axis=1))
-        saturated.append(values == bounds[-1][:, None])
-    bounds, saturated = np.concatenate(bounds), np.concatenate(saturated)
-    ranked = np.flatnonzero(saturated.sum(axis=1) >= d)
-    return rows[ranked], bounds[ranked], np.packbits(saturated[ranked], axis=1)
+    rows, bounds and bit-packed saturating masks.  Bounds and counts come
+    from Bob's best responses; only the candidates that go on to the rank
+    test are valued at every strategy, in blocks of _BLOCK values, for their
+    masks.  Fancy indexing copies them, so a queue of these keeps no chunk
+    array alive."""
+    bounds, counts = _best_responses(scenario, rows)
+    ranked = np.flatnonzero(counts >= ns_dimension(scenario))
+    rows, bounds = rows[ranked], bounds[ranked]
+    saturated = np.empty((len(rows), 1 << (scenario.m_a + scenario.m_b)), dtype=bool)
+    step = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
+    for start in range(0, len(rows), step):
+        values = _strategy_values(scenario, rows[start:start + step], behaviors)
+        saturated[start:start + step] = values == bounds[start:start + step, None]
+    return rows, bounds, np.packbits(saturated, axis=1)
 
 
 def _trivial_key(scenario: Scenario):

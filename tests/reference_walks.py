@@ -17,7 +17,13 @@ from bellscan.core import (
     StructuralError,
     evaluate,
 )
-from bellscan.polytope import _ENUMERATION_LIMIT, _scored
+from bellscan.polytope import (
+    _BLOCK,
+    _ENUMERATION_LIMIT,
+    _scored,
+    _strategy_values,
+    ns_dimension,
+)
 from bellscan.symmetry import Transformation
 
 
@@ -92,6 +98,23 @@ def local_bound_bruteforce(f: BellFunctional) -> Fraction:
 def saturating_strategies(f: BellFunctional) -> list[DeterministicStrategy]:
     """Strategies whose behavior attains f.bound exactly."""
     return [strategy_from_index(f.scenario, int(i)) for i in np.flatnonzero(_scored(f)[1])]
+
+
+def full_table_screen(scenario: Scenario, rows: np.ndarray, behaviors) -> tuple:
+    """search._screen from the full strategy table: every row valued at all
+    2^(m_a+m_b) strategies, its bound the largest value and its count the
+    number of values equal to it; the rows with at least d saturating
+    strategies, their bounds and bit-packed masks."""
+    d = ns_dimension(scenario)
+    rows_per_gemm = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
+    bounds, saturated = [], []
+    for start in range(0, len(rows), rows_per_gemm):
+        values = _strategy_values(scenario, rows[start:start + rows_per_gemm], behaviors)
+        bounds.append(values.max(axis=1))
+        saturated.append(values == bounds[-1][:, None])
+    bounds, saturated = np.concatenate(bounds), np.concatenate(saturated)
+    ranked = np.flatnonzero(saturated.sum(axis=1) >= d)
+    return rows[ranked], bounds[ranked], np.packbits(saturated[ranked], axis=1)
 
 
 def identity_transformation(s: Scenario) -> Transformation:

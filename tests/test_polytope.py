@@ -20,10 +20,12 @@ from bellscan.polytope import (
     local_bound,
     ns_dimension,
     _affine_dims,
+    _best_responses,
     _primes,
     _ranks,
     _ranks_mod,
     _scored,
+    _strategy_table,
     _strategy_values,
 )
 from reference_walks import (
@@ -150,6 +152,11 @@ def test_strategy_values_exact_at_the_float_boundary():
         values = _strategy_values(s, rows)
         assert values.dtype == dtype
         assert [[int(v) for v in r] for r in values] == python_values(s, rows)
+        # the best responses take the same dtype and agree with the table
+        bounds, counts = _best_responses(s, rows)
+        assert bounds.dtype == dtype
+        assert [int(b) for b in bounds] == [max(r) for r in python_values(s, rows)]
+        assert counts.tolist() == [r.count(max(r)) for r in python_values(s, rows)]
     # the first row reaches 2^53 + 7 at the all-ones strategy
     as_float = np.array(rows[:1], dtype=np.float64) @ np.ones(8)
     assert int(as_float[0]) != 2 ** 53 + 7 == python_values(s, rows[:1])[0][-1]
@@ -157,6 +164,32 @@ def test_strategy_values_exact_at_the_float_boundary():
     big = Scenario(6, 6)
     rows = [[rng.randint(-3, 3) for _ in range(48)] for _ in range(2)]
     assert _strategy_values(big, rows).tolist() == python_values(big, rows)
+
+
+def test_best_responses_count_every_tie():
+    # the all-zero table: every strategy saturates, so each of Alice's
+    # strategies contributes 2^m_b tied best responses of Bob's; at 8x8 they
+    # span several kernel blocks, whose counts must add up
+    for s in (Scenario(1, 1), Scenario(2, 3), Scenario(4, 4), Scenario(8, 8)):
+        bounds, counts = _best_responses(s, np.zeros((3, ns_dimension(s)), dtype=np.int64))
+        assert bounds.tolist() == [0, 0, 0]
+        assert counts.tolist() == [1 << (s.m_a + s.m_b)] * 3
+
+
+def test_best_responses_match_the_strategy_table_on_8x8():
+    # 256 Alice strategies span several kernel blocks; these tables reach
+    # their maximum in one block, in a later one, or tie it across several
+    rng = np.random.default_rng(5)
+    s = Scenario(8, 8)
+    for lo, hi in ((-3, 3), (-1, 1)):
+        rows = rng.integers(lo, hi, size=(4, ns_dimension(s)), endpoint=True)
+        bounds, counts = _best_responses(s, rows)
+        for row, bound, count in zip(rows, bounds, counts):
+            f = BellFunctional.build(row[:8].tolist(), row[8:16].tolist(),
+                                     row[16:].reshape(8, 8).tolist(), 0)
+            table = _strategy_table(f)
+            assert local_bound(f) == bound == table.max()
+            assert count == (table == table.max()).sum()
 
 
 def test_bruteforce_capacity_guard():

@@ -16,7 +16,7 @@ from bellscan.core import (
     lift,
     parse_functional,
 )
-from bellscan.polytope import _affine_dims, facet_check, local_bound
+from bellscan.polytope import _affine_dims, _behaviors, facet_check, local_bound
 from bellscan.search import (
     _CHUNK,
     SearchConfig,
@@ -24,9 +24,11 @@ from bellscan.search import (
     _catalog_keys,
     _marginal_tuples,
     _raw_candidates,
+    _screen,
     run_search,
 )
 from bellscan.symmetry import canonical_key, equivalent
+from reference_walks import full_table_screen
 
 
 def generate_candidates(cfg):
@@ -90,6 +92,26 @@ def outcome(rep):
 def test_exhaustive_stream_matches_nested_loops(cfg):
     expected = list(nested_loop_rows(cfg))
     assert stream_rows(cfg).tolist() == [list(r) for r in expected]
+
+
+@pytest.mark.parametrize("cfg", [
+    EXHAUSTIVE_3322,
+    SearchConfig(Scenario(3, 3), corr_range=(-1, 1), marg_min=-2, strict_first=False),
+    SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3),
+    SearchConfig(Scenario(3, 4), mode="random", seed=3),
+    SearchConfig(Scenario(4, 4), mode="random", seed=0),
+    SearchConfig(Scenario(4, 4), mode="random", seed=11),
+], ids=["3322-strict", "3322-loose", "2222-wide", "3422-random", "4422-seed0", "4422-seed11"])
+def test_best_response_screen_matches_the_full_table(cfg):
+    s = cfg.scenario
+    behaviors = _behaviors(s, np.arange(1 << (s.m_a + s.m_b)))
+    ranked = 0
+    for rows in _raw_candidates(cfg):
+        got, want = _screen(s, rows, behaviors), full_table_screen(s, rows, behaviors)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        ranked += len(got[0])
+    assert ranked > 0
 
 
 def test_random_stream_draws_within_the_constraints():
