@@ -1,18 +1,20 @@
 """Local bounds, saturating strategies and the facet (tightness) test.
 
-Everything here is exact.  Deterministic strategies are scored two ways,
-both under `_exact_table`'s rule (float64 GEMMs when max|coefficient| * d <
-2^53, so that every partial sum is an integer float64 holds exactly, and
-Python integers otherwise) and its one guard (m_a + m_b <= 24):
+Everything here is exact.  Deterministic strategies are scored through one
+product, `_fields`: at each of Alice's strategies s the response kernel
+picks alpha(s) = M_A . s and Bob's fields g_y(s) = M_B[y] + sum_x C_xy s_x
+out of each coefficient row, and Bob's strategy t scores alpha(s) + t . g(s).
+It runs under `_exact_table`'s rule (float64 GEMMs when max|coefficient| *
+d < 2^53, so that every partial sum is an integer float64 holds exactly,
+and Python integers otherwise) and its one guard (m_a + m_b <= 24).
 
-- `_best_responses` gives each table's local bound and its number of
-  saturating strategies from Bob's best response to each of Alice's 2^m_a
-  strategies, without the strategy table.  `local_bound` and the search
-  screen read it.
-- `_strategy_values` values tables at all 2^(m_a+m_b) strategies: one GEMM
-  against the 0/1 behavior matrix.  The saturating masks (the facet test
-  and the search's rank-tested candidates) and the closed-form detection
-  threshold at theta = pi/4 read it.
+- `_best_responses` reduces the fields to each table's local bound and its
+  number of saturating strategies, by Bob's best response to each s.
+  `local_bound` and the search screen read it.
+- `_strategy_values` expands them over Bob's 2^m_b strategies into every
+  strategy's value.  The saturating masks (the facet test and the search's
+  rank-tested candidates) and the closed-form detection threshold at
+  theta = pi/4 read it.
 
 A functional is a facet iff its bound is attained and the saturating points
 span an affine subspace of dimension d-1 (d the no-signaling dimension).
@@ -110,29 +112,6 @@ def _exact_table(scenario: Scenario, rows) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(-1, terms)
 
 
-def _strategy_values(scenario: Scenario, rows, behaviors=None) -> np.ndarray:
-    """Exact values of coefficient rows (M_A, M_B, then C by rows) at every
-    strategy: one column per strategy, numbered with Alice's bits low and
-    Bob's above.
-
-    A row's value at s is row . v_s, so the values are rows @ V^T for the
-    behavior matrix V, taken in `_exact_table`'s dtype.  V is built _BLOCK
-    elements at a time, unless a caller that scores many tables passes the
-    whole of it as `behaviors`.
-    """
-    table = _exact_table(scenario, rows)
-    if behaviors is not None:
-        return table @ behaviors.T
-    ma, mb, terms = scenario.m_a, scenario.m_b, table.shape[1]
-    count = 1 << (ma + mb)
-    values = np.empty((len(table), count), dtype=table.dtype)
-    step = max(1, _BLOCK // terms)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        values[:, start:stop] = table @ _behaviors(scenario, np.arange(start, stop)).T
-    return values
-
-
 def _response_kernel(scenario: Scenario, alice: np.ndarray) -> np.ndarray:
     """The (m_b+1, k, d) 0/1 kernel of k Alice strategies: row (0, s) picks
     alpha(s) = M_A . s out of a coefficient row, and row (1+y, s) Bob's field
@@ -148,6 +127,40 @@ def _response_kernel(scenario: Scenario, alice: np.ndarray) -> np.ndarray:
     return kernel
 
 
+def _fields(scenario: Scenario, table: np.ndarray):
+    """Yield (alice, rows, fields) per block of Alice's strategies (alice,
+    consecutive numbers) and of table rows (rows, a slice): fields is the
+    strategy-major (m_b+1, k, n) product of the response kernel with those
+    rows, alpha(s) at index 0 and g_y(s) at 1+y.  Kernel blocks and products
+    hold at most _BLOCK elements (one Alice strategy at least)."""
+    mb, terms = scenario.m_b, table.shape[1]
+    step = max(1, _BLOCK // ((mb + 1) * terms))
+    for first in range(0, 1 << scenario.m_a, step):
+        alice = np.arange(first, min(first + step, 1 << scenario.m_a))
+        kernel = _response_kernel(scenario, alice).reshape(-1, terms).astype(table.dtype)
+        rows_per_gemm = max(1, _BLOCK // len(kernel))
+        for start in range(0, len(table), rows_per_gemm):
+            rows = slice(start, start + rows_per_gemm)
+            yield alice, rows, (kernel @ table[rows].T).reshape(mb + 1, len(alice), -1)
+
+
+def _strategy_values(scenario: Scenario, rows) -> np.ndarray:
+    """Exact values of coefficient rows (M_A, M_B, then C by rows) at every
+    strategy: one column per strategy, numbered with Alice's bits low and
+    Bob's above.  Each block of `_fields` times Bob's 0/1 matrix
+    [1 | bits(t)] gives alpha(s) + t . g(s) for all of his strategies t, a
+    sum of at most d coefficients."""
+    table = _exact_table(scenario, rows)
+    ma, mb = scenario.m_a, scenario.m_b
+    bob = np.hstack([np.ones((1 << mb, 1), dtype=np.int64),
+                     _bits(np.arange(1 << mb), mb)]).astype(table.dtype)
+    values = np.empty((len(table), 1 << mb, 1 << ma), dtype=table.dtype)
+    for alice, rows, fields in _fields(scenario, table):
+        block = (bob @ fields.reshape(mb + 1, -1)).reshape(1 << mb, len(alice), -1)
+        values[rows, :, alice[0]:alice[-1] + 1] = block.transpose(2, 0, 1)
+    return values.reshape(len(table), -1)
+
+
 def _best_responses(scenario: Scenario, rows) -> tuple[np.ndarray, np.ndarray]:
     """Each coefficient row's local bound and its number of saturating
     strategies, without the 2^(m_a+m_b) strategy table.
@@ -155,38 +168,27 @@ def _best_responses(scenario: Scenario, rows) -> tuple[np.ndarray, np.ndarray]:
     At Alice's strategy s Bob answers each setting y on his own: the best
     value is alpha(s) + sum_y max(g_y(s), 0), reached by 2^#{y : g_y(s) = 0}
     of his strategies.  The bound is the largest best value over s, and the
-    count sums those powers of two over the s that reach it.  One GEMM of
-    the response kernel against a block of rows gives a strategy-major
-    (m_b+1, k, n) array, so every later step runs over contiguous rows of n
-    values and the maximum over s reduces across those rows.  Kernel blocks
-    and products hold at most _BLOCK elements (one Alice strategy at least);
-    the running maximum and count are merged over the kernel blocks.  The
-    arithmetic is `_exact_table`'s: every field and best value is a sum of
-    at most d coefficients.
+    count sums those powers of two over the s that reach it.  The fields are
+    strategy-major, so every step runs over contiguous rows of n values and
+    the maximum over s reduces across those rows; the running maximum and
+    count are merged over the Alice blocks.  Every best value is a sum of at
+    most d coefficients.
     """
     table = _exact_table(scenario, rows)
-    ma, mb, terms = scenario.m_a, scenario.m_b, table.shape[1]
     bounds = np.empty(len(table), dtype=table.dtype)
     counts = np.zeros(len(table), dtype=np.int64)
-    step = max(1, _BLOCK // ((mb + 1) * terms))
-    for first in range(0, 1 << ma, step):
-        alice = np.arange(first, min(first + step, 1 << ma))
-        kernel = _response_kernel(scenario, alice).reshape(-1, terms).astype(table.dtype)
-        rows_per_gemm = max(1, _BLOCK // len(kernel))
-        for start in range(0, len(table), rows_per_gemm):
-            stop = start + rows_per_gemm
-            fields = (kernel @ table[start:stop].T).reshape(mb + 1, len(alice), -1)
-            bob = fields[1:]
-            power = 1 << (bob == 0).sum(axis=0)
-            best = np.maximum(bob, 0, out=bob).sum(axis=0)
-            best += fields[0]
-            bound = best.max(axis=0)
-            ties = (power * (best == bound)).sum(axis=0)
-            if first:
-                held = bounds[start:stop]
-                ties = np.where(bound > held, ties, counts[start:stop] + (bound == held) * ties)
-                bound = np.maximum(bound, held)
-            bounds[start:stop], counts[start:stop] = bound, ties
+    for alice, rows, fields in _fields(scenario, table):
+        bob = fields[1:]
+        power = 1 << (bob == 0).sum(axis=0)
+        best = np.maximum(bob, 0, out=bob).sum(axis=0)
+        best += fields[0]
+        bound = best.max(axis=0)
+        ties = (power * (best == bound)).sum(axis=0)
+        if alice[0]:
+            held = bounds[rows]
+            ties = np.where(bound > held, ties, counts[rows] + (bound == held) * ties)
+            bound = np.maximum(bound, held)
+        bounds[rows], counts[rows] = bound, ties
     return bounds, counts
 
 
@@ -201,7 +203,7 @@ def _scored(f: BellFunctional) -> tuple[np.ndarray, np.ndarray]:
     values = _strategy_table(f)
     target = f.bound.numerator
     # a bound beyond every value saturates nothing, and may not fit float64
-    if f.bound.denominator != 1 or abs(target) > int(np.abs(values).max()):
+    if f.bound.denominator != 1 or abs(target) > max(int(values.max()), -int(values.min())):
         return values, np.zeros(values.shape, dtype=bool)
     return values, values == target
 

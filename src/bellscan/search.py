@@ -13,10 +13,10 @@ The screen scores each chunk by Bob's best response to each of Alice's
 strategies (`polytope._best_responses`): a candidate's bound and its number
 of saturating strategies come without its strategy table.  Candidates with
 at least d saturating strategies are rank-tested, and only they are valued
-at every deterministic strategy, for their saturating masks: one GEMM
-against the behavior matrix per block of _BLOCK values, the matrix built
-once per run while it fits in _BLOCK elements.  Both are exact (float64
-while max|coefficient| * d < 2^53, Python integers beyond).  Each chunk's
+at every deterministic strategy, for their saturating masks
+(`polytope._strategy_values`, from the same fields as the best responses),
+in blocks of _BLOCK values.  Both are exact (float64 while
+max|coefficient| * d < 2^53, Python integers beyond).  Each chunk's
 rank-tested candidates join a queue (coefficient row, bound and bit-packed
 saturating mask, copied out of the chunk), and once it holds _RANK_QUEUE
 candidates, or the stream ends, each distinct mask in the queue is ranked
@@ -74,7 +74,6 @@ from .core import (
 from .polytope import (
     _BLOCK,
     _affine_dims,
-    _behaviors,
     _best_responses,
     _strategy_values,
     ns_dimension,
@@ -209,20 +208,20 @@ def _build(scenario: Scenario, row: np.ndarray, bound: int) -> BellFunctional:
     return BellFunctional(scenario, coeffs[:ma], coeffs[ma:ma + mb], corr, Fraction(bound))
 
 
-def _screen(scenario: Scenario, rows: np.ndarray, behaviors) -> tuple:
+def _screen(scenario: Scenario, rows: np.ndarray) -> tuple:
     """A chunk's candidates with at least d saturating strategies: their
     rows, bounds and bit-packed saturating masks.  Bounds and counts come
     from Bob's best responses; only the candidates that go on to the rank
-    test are valued at every strategy, in blocks of _BLOCK values, for their
-    masks.  Fancy indexing copies them, so a queue of these keeps no chunk
-    array alive."""
+    test are valued at every strategy, for their masks, a few rows at a time
+    so that no value table holds more than _BLOCK values.  Fancy indexing
+    copies them, so a queue of these keeps no chunk array alive."""
     bounds, counts = _best_responses(scenario, rows)
     ranked = np.flatnonzero(counts >= ns_dimension(scenario))
     rows, bounds = rows[ranked], bounds[ranked]
     saturated = np.empty((len(rows), 1 << (scenario.m_a + scenario.m_b)), dtype=bool)
     step = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
     for start in range(0, len(rows), step):
-        values = _strategy_values(scenario, rows[start:start + step], behaviors)
+        values = _strategy_values(scenario, rows[start:start + step])
         saturated[start:start + step] = values == bounds[start:start + step, None]
     return rows, bounds, np.packbits(saturated, axis=1)
 
@@ -290,11 +289,10 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
                 report.new_count += 1
 
     count = 1 << (scenario.m_a + scenario.m_b)
-    behaviors = _behaviors(scenario, np.arange(count)) if count * d <= _BLOCK else None
     queue, queued = [], 0  # one _screen result per chunk
     for rows in _raw_candidates(cfg):
         report.candidates_tested += len(rows)
-        queue.append(_screen(scenario, rows, behaviors))
+        queue.append(_screen(scenario, rows))
         report.rank_tested += len(queue[-1][0])
         queued += len(queue[-1][0])
         if queued >= _RANK_QUEUE:

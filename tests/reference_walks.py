@@ -20,8 +20,9 @@ from bellscan.core import (
 from bellscan.polytope import (
     _BLOCK,
     _ENUMERATION_LIMIT,
+    _behaviors,
+    _exact_table,
     _scored,
-    _strategy_values,
     ns_dimension,
 )
 from bellscan.symmetry import Transformation
@@ -100,16 +101,26 @@ def saturating_strategies(f: BellFunctional) -> list[DeterministicStrategy]:
     return [strategy_from_index(f.scenario, int(i)) for i in np.flatnonzero(_scored(f)[1])]
 
 
-def full_table_screen(scenario: Scenario, rows: np.ndarray, behaviors) -> tuple:
+def behavior_matrix_values(scenario: Scenario, rows) -> np.ndarray:
+    """Each coefficient row's value at every strategy (Alice's bits low),
+    as one GEMM against the whole 0/1 behavior matrix V in `_exact_table`'s
+    dtype: the oracle for polytope._strategy_values."""
+    behaviors = _behaviors(scenario, np.arange(num_strategies(scenario)))
+    table = _exact_table(scenario, rows)
+    return table @ behaviors.T
+
+
+def full_table_screen(scenario: Scenario, rows: np.ndarray) -> tuple:
     """search._screen from the full strategy table: every row valued at all
-    2^(m_a+m_b) strategies, its bound the largest value and its count the
-    number of values equal to it; the rows with at least d saturating
-    strategies, their bounds and bit-packed masks."""
+    2^(m_a+m_b) strategies by `behavior_matrix_values`, its bound the
+    largest value and its count the number of values equal to it; the rows
+    with at least d saturating strategies, their bounds and bit-packed
+    masks."""
     d = ns_dimension(scenario)
     rows_per_gemm = max(1, _BLOCK >> (scenario.m_a + scenario.m_b))
     bounds, saturated = [], []
     for start in range(0, len(rows), rows_per_gemm):
-        values = _strategy_values(scenario, rows[start:start + rows_per_gemm], behaviors)
+        values = behavior_matrix_values(scenario, rows[start:start + rows_per_gemm])
         bounds.append(values.max(axis=1))
         saturated.append(values == bounds[-1][:, None])
     bounds, saturated = np.concatenate(bounds), np.concatenate(saturated)

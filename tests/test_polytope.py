@@ -30,6 +30,7 @@ from bellscan.polytope import (
 )
 from reference_walks import (
     DeterministicStrategy,
+    behavior_matrix_values,
     behavior_of_strategy,
     local_bound_bruteforce,
     saturating_strategies,
@@ -160,10 +161,28 @@ def test_strategy_values_exact_at_the_float_boundary():
     # the first row reaches 2^53 + 7 at the all-ones strategy
     as_float = np.array(rows[:1], dtype=np.float64) @ np.ones(8)
     assert int(as_float[0]) != 2 ** 53 + 7 == python_values(s, rows[:1])[0][-1]
-    # 6x6: the 4096 x 48 behavior matrix is built in several blocks
+    # 6x6: Bob's 64 strategies expand the fields of Alice's 64
     big = Scenario(6, 6)
     rows = [[rng.randint(-3, 3) for _ in range(48)] for _ in range(2)]
     assert _strategy_values(big, rows).tolist() == python_values(big, rows)
+
+
+@pytest.mark.parametrize("ma, mb, count, top", [
+    (1, 1, 5, 3), (2, 3, 5, 3), (3, 2, 5, 3), (3, 5, 5, 3), (5, 3, 5, 3),
+    (3, 3, 3000, 3),  # three row blocks
+    (8, 8, 3, 3),  # Alice's 256 strategies span six kernel blocks
+    (7, 7, 2, 2 ** 50),  # Python integers; Alice's 128 span two kernel blocks
+])
+def test_strategy_values_match_the_behavior_matrix(ma, mb, count, top):
+    # off the diagonal a swapped Alice/Bob column order cannot match, and
+    # random marginals catch a lost alpha(s) term
+    s = Scenario(ma, mb)
+    rows = np.random.default_rng(ma * 10 + mb).integers(
+        -top, top, size=(count, ns_dimension(s)), endpoint=True)
+    values, want = _strategy_values(s, rows), behavior_matrix_values(s, rows)
+    assert values.dtype == want.dtype == (object if top > 3 else np.float64)
+    assert values.shape == want.shape == (count, 1 << (ma + mb))
+    assert values.tolist() == want.tolist()
 
 
 def test_best_responses_count_every_tie():
@@ -228,7 +247,8 @@ def test_facet_check_i3322():
 
 def test_facet_check_raised_bound_not_tight():
     chsh = catalog_get("CHSH").functional
-    for bound in (1, 10 ** 400, -10 ** 400):
+    # 2^60 lies beyond every value and beyond float64's exact range
+    for bound in (1, 2 ** 60, 10 ** 400, -10 ** 400):
         raised = BellFunctional.build(chsh.alice_marg, chsh.bob_marg, chsh.corr, bound)
         report = facet_check(raised)
         assert not report.is_tight

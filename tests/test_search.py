@@ -16,7 +16,7 @@ from bellscan.core import (
     lift,
     parse_functional,
 )
-from bellscan.polytope import _affine_dims, _behaviors, facet_check, local_bound
+from bellscan.polytope import _affine_dims, facet_check, local_bound
 from bellscan.search import (
     _CHUNK,
     SearchConfig,
@@ -104,10 +104,9 @@ def test_exhaustive_stream_matches_nested_loops(cfg):
 ], ids=["3322-strict", "3322-loose", "2222-wide", "3422-random", "4422-seed0", "4422-seed11"])
 def test_best_response_screen_matches_the_full_table(cfg):
     s = cfg.scenario
-    behaviors = _behaviors(s, np.arange(1 << (s.m_a + s.m_b)))
     ranked = 0
     for rows in _raw_candidates(cfg):
-        got, want = _screen(s, rows, behaviors), full_table_screen(s, rows, behaviors)
+        got, want = _screen(s, rows), full_table_screen(s, rows)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         ranked += len(got[0])
