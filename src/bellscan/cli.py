@@ -314,7 +314,8 @@ def _cmd_search(args) -> int:
     else:
         print(f"candidates tested: {report.candidates_tested}")
         print(f"rank-tested (at least d saturating strategies): {report.rank_tested}")
-        print(f"distinct saturating sets ranked: {report.rank_sets}")
+        print(f"distinct saturating sets: {report.rank_sets}")
+        print(f"  settled by the support screen, not ranked: {report.support_settled}")
         print(f"tight (facets, trivial and repeats included): {report.tight}")
         print(f"trivial facets (positivity class): {report.trivial_count}")
         print(f"facet classes found: {len(report.facets_found)} "

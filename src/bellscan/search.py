@@ -7,8 +7,21 @@ range and marginal columns ordered as
 
 (the first "<" is configurable since the printed constraint is strict
 there and "<=" later).  Every candidate's bound is its exact local bound,
-so the facet test is the only filter that matters.  Both halves of that
-test run on many candidates at once with the facet test's own helpers.
+so the facet test is the only filter that matters.  The search screens and
+ranks only what can change its report.
+
+The exhaustive stream first drops candidates that cannot come first in
+their relabeling orbit (`_orbit_cut`).  Permuting settings with equal
+marginal values, and on square scenarios swapping the parties, maps the
+stream into itself and keeps the bound, tightness and canonical key.  So
+the first tight row of each class in stream order is the least image of
+its orbit, and a least image has C's rows nondecreasing within each run of
+equal Alice marginals, its columns nondecreasing within each run of equal
+Bob marginals, and (square only) Alice's marginal tuple at most Bob's.  The
+cut keeps exactly the rows with these three properties, so the classes
+found, their first rows and the new count are those of the full stream;
+the funnel counts fall.  Random mode is not cut.
+
 The screen scores each chunk by Bob's best response to each of Alice's
 strategies (`polytope._best_responses`): a candidate's bound and its number
 of saturating strategies come without its strategy table.  Candidates with
@@ -19,34 +32,39 @@ in blocks of _BLOCK values.  Both are exact (float64 while
 max|coefficient| * d < 2^53, Python integers beyond).  Each chunk's
 rank-tested candidates join a queue (coefficient row, bound and bit-packed
 saturating mask, copied out of the chunk), and once it holds _RANK_QUEUE
-candidates, or the stream ends, each distinct mask in the queue is ranked
-once.  Many candidates share a
-saturating set (exhaustive 3322: 3,484 rank-tested, 1,299 distinct).  The
-difference matrices V[sat] - V[first] are ranked in size-sorted stacks
-modulo as many primes as a Hadamard bound asks for.  The queue's candidates
-of affine rank d-1 then become `BellFunctional`s in stream order, so the
-report does not depend on where the queue is flushed; each is first
-divided by the gcd of its coefficients and bound, because a positive
-multiple of a facet is the same facet.  Found facets are deduplicated by
-canonical key and matched against the catalog.  Every key is
-canonical_key(lift(g, scenario)): g is the 1x1 positivity table, whose
-class is counted separately as trivial, or a catalog entry (lift to its own
-scenario is the identity).  Off the diagonal (m_a != m_b) a key does not
-carry the party swap, so each entry is also entered with its parties
-swapped, after every entry in its printed order.
+candidates, or the stream ends, its distinct masks are taken once each
+(exhaustive 3322: 834 rank-tested, 331 distinct).  A coordinate of the 0/1
+behavior vector that is constant over a set is a zero column of
+V[sat] - V[first], so the set's affine dimension is at most the number of
+coordinates that vary over it (`_varying`); sets with fewer than d-1 are
+settled without a rank (221 of the 331).  The rest are ranked as difference
+matrices V[sat] - V[first] in size-sorted stacks modulo as many primes as a
+Hadamard bound asks for.  The queue's candidates of affine rank d-1 then
+become `BellFunctional`s in stream order, so the report does not depend on
+where the queue is flushed; each is first divided by the gcd of its
+coefficients and bound, because a positive multiple of a facet is the same
+facet.  Found facets are deduplicated by canonical key and matched against
+the catalog.  Every key is canonical_key(lift(g, scenario)): g is the 1x1
+positivity table, whose class is counted separately as trivial, or a
+catalog entry (lift to its own scenario is the identity).  Off the diagonal
+(m_a != m_b) a key does not carry the party swap, so each entry is also
+entered with its parties swapped, after every entry in its printed order.
 
 Candidates arrive as int64 numpy chunks of at most _CHUNK coefficient rows
 (M_A, M_B, then C by rows), the layout the scoring helper takes.  The
 exhaustive stream decodes an index range in mixed radix, in the order of
 nested loops over Alice's marginal tuple, Bob's, and the correlation cells
-with the last cell fastest; the random stream draws each chunk from
+with the last cell fastest, and the cut then filters each decoded chunk
+(a chunk it empties is skipped); the random stream draws each chunk from
 numpy's default generator seeded with `seed`.  The positivity key and the
 catalog keys are computed on demand: the first at the first tight
 candidate, the second at the first new class, so a run that finds no facet
-canonicalizes nothing.  The report counts the funnel: candidates screened,
-those with at least d saturating strategies (rank-tested), and those that
-passed the facet test (tight, trivial ones and repeats included); beside
-it, the distinct saturating sets ranked (the rank layer's work).
+canonicalizes nothing.  The report counts the funnel: candidates screened
+(after the cut), those with at least d saturating strategies
+(rank-tested), and those that passed the facet test (tight, trivial ones
+and repeats included); beside it, the distinct saturating sets and, of
+those, the ones the support screen settled (the rank layer's work is the
+difference).
 """
 
 from __future__ import annotations
@@ -74,6 +92,7 @@ from .core import (
 from .polytope import (
     _BLOCK,
     _affine_dims,
+    _behaviors,
     _best_responses,
     _strategy_values,
     ns_dimension,
@@ -131,13 +150,14 @@ class FacetFinding:
 @dataclass
 class SearchReport:
     config: SearchConfig
-    candidates_tested: int
+    candidates_tested: int  # rows screened, after the orbit cut in exhaustive mode
     facets_found: list[FacetFinding] = field(default_factory=list)
     new_count: int = 0
     trivial_count: int = 0
     rank_tested: int = 0  # candidates with at least d saturating strategies
     tight: int = 0  # rank-tested candidates that are facets, trivial and repeats included
-    rank_sets: int = 0  # distinct saturating sets ranked, counted once per queue flush
+    rank_sets: int = 0  # distinct saturating sets, counted once per queue flush
+    support_settled: int = 0  # of those, the sets too narrow to rank (see _varying)
 
 
 def _marginal_tuples(m: int, marg_min: int, strict_first: bool) -> list[tuple[int, ...]]:
@@ -201,6 +221,48 @@ def _raw_candidates(cfg: SearchConfig) -> Iterator[np.ndarray]:
                              rng.integers(lo, hi, size=(n, cells), endpoint=True)])
 
 
+def _orbit_cut(cfg: SearchConfig, rows: np.ndarray) -> np.ndarray:
+    """The rows of an exhaustive chunk that may be the least image, in stream
+    order, of their orbit under the relabelings that keep the stream: C's
+    rows nondecreasing within each run of equal Alice marginals, its columns
+    nondecreasing within each run of equal Bob marginals, and on square
+    scenarios Alice's marginal tuple at most Bob's.  Lines of C - lo are
+    compared as base-radix codes, first entry most significant: their digits
+    lie in [0, radix), so the codes order the lines lexicographically and
+    stay below radix^m, which the exhaustive cap keeps within int64.  The marginals
+    are constant over each run of rows that share them, so the ties and the
+    tuple order are read once per run, and only tied lines are coded."""
+    ma, mb = cfg.scenario.m_a, cfg.scenario.m_b
+    lo, hi = cfg.corr_range
+    radix = hi - lo + 1
+    marg = rows[:, :ma + mb]
+    # the stream visits each marginal pair in one run, so equal ends mean one run
+    starts = [0] if (marg[0] == marg[-1]).all() else [
+        0, *(1 + np.flatnonzero((marg[1:] != marg[:-1]).any(axis=1))).tolist()]
+    corr = rows[:, ma + mb:].T.reshape(ma, mb, -1)  # corr[x, y]: cell (x, y) of each row
+    kept = []
+    for start, stop in zip(starts, starts[1:] + [len(rows)]):
+        alice, bob = marg[start, :ma].tolist(), marg[start, ma:].tolist()
+        if ma == mb and alice > bob:
+            continue
+        cells = corr[:, :, start:stop] - lo
+        keep = np.ones(stop - start, dtype=bool)
+        for tup, lines in ((alice, cells), (bob, cells.transpose(1, 0, 2))):
+            for k in range(len(tup) - 1):
+                if tup[k] == tup[k + 1]:
+                    keep &= _code(lines[k], radix) <= _code(lines[k + 1], radix)
+        kept.append(rows[start:stop][keep])
+    return np.concatenate(kept) if kept else rows[:0]
+
+
+def _code(line: np.ndarray, radix: int) -> np.ndarray:
+    """Horner's rule over a line's entries, one code per row."""
+    code = line[0]
+    for entry in line[1:]:
+        code = code * radix + entry
+    return code
+
+
 def _build(scenario: Scenario, row: np.ndarray, bound: int) -> BellFunctional:
     ma, mb = scenario.m_a, scenario.m_b
     coeffs = row.tolist()
@@ -224,6 +286,18 @@ def _screen(scenario: Scenario, rows: np.ndarray) -> tuple:
         values = _strategy_values(scenario, rows[start:start + step])
         saturated[start:start + step] = values == bounds[start:start + step, None]
     return rows, bounds, np.packbits(saturated, axis=1)
+
+
+def _varying(scenario: Scenario, masks: np.ndarray) -> np.ndarray:
+    """Per nonempty saturating set (a row of a (n, 2^(m_a+m_b)) mask), the
+    number of coordinates of the 0/1 behavior vector that are not constant
+    over it.  A constant coordinate is a zero column of V[sat] - V[first], so
+    this count bounds the set's affine dimension.  Only the saturating
+    strategies' vectors are built, as in the rank."""
+    owner, index = np.nonzero(masks)
+    sizes = np.bincount(owner, minlength=len(masks))
+    ones = np.add.reduceat(_behaviors(scenario, index), np.cumsum(sizes) - sizes)
+    return ((ones > 0) & (ones < sizes[:, None])).sum(axis=1)
 
 
 def _trivial_key(scenario: Scenario):
@@ -263,7 +337,12 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
         report.rank_sets += len(sets)
         masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1,
                               count=count).astype(bool)
-        tight = (_affine_dims(scenario, masks) == d - 1)[inverse]
+        # the affine dimension is at most the number of varying coordinates
+        ranked = np.flatnonzero(_varying(scenario, masks) >= d - 1)
+        report.support_settled += len(sets) - len(ranked)
+        tight = np.zeros(len(sets), dtype=bool)
+        tight[ranked] = _affine_dims(scenario, masks[ranked]) == d - 1
+        tight = tight[inverse]
         # joined only after ranking, so the copy never meets the rank stacks
         rows, bounds = np.concatenate(rows)[tight], np.concatenate(bounds)[tight]
         for row, bound in zip(rows, bounds):
@@ -291,6 +370,10 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
     count = 1 << (scenario.m_a + scenario.m_b)
     queue, queued = [], 0  # one _screen result per chunk
     for rows in _raw_candidates(cfg):
+        if cfg.mode == "exhaustive":
+            rows = _orbit_cut(cfg, rows)
+            if not len(rows):  # the scorers take no empty table
+                continue
         report.candidates_tested += len(rows)
         queue.append(_screen(scenario, rows))
         report.rank_tested += len(queue[-1][0])
@@ -321,6 +404,7 @@ def report_to_json(report: SearchReport) -> dict:
         "candidates_tested": report.candidates_tested,
         "rank_tested": report.rank_tested,
         "rank_sets": report.rank_sets,
+        "support_settled": report.support_settled,
         "tight": report.tight,
         "trivial_count": report.trivial_count,
         "new_count": report.new_count,

@@ -292,8 +292,9 @@ def test_search_text_reports_the_ranked_sets(capsys):
                            "--corr-min", "-1", "--corr-max", "1", "--marg-min", "-1")
     assert code == 0
     lines = out.splitlines()
-    assert lines[1:3] == ["rank-tested (at least d saturating strategies): 5",
-                          "distinct saturating sets ranked: 5"]
+    assert lines[1:4] == ["rank-tested (at least d saturating strategies): 5",
+                          "distinct saturating sets: 5",
+                          "  settled by the support screen, not ranked: 0"]
 
 
 def test_search_sampling_flags_need_random_mode(capsys):

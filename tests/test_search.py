@@ -1,6 +1,6 @@
 import json
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -16,15 +16,17 @@ from bellscan.core import (
     lift,
     parse_functional,
 )
-from bellscan.polytope import _affine_dims, facet_check, local_bound
+from bellscan.polytope import _affine_dims, facet_check, local_bound, ns_dimension
 from bellscan.search import (
     _CHUNK,
     SearchConfig,
     _build,
     _catalog_keys,
     _marginal_tuples,
+    _orbit_cut,
     _raw_candidates,
     _screen,
+    _varying,
     run_search,
 )
 from bellscan.symmetry import canonical_key, equivalent
@@ -64,6 +66,7 @@ def assert_funnel(rep):
     assert rep.candidates_tested >= rep.rank_tested >= rep.tight
     assert rep.tight >= rep.trivial_count + len(rep.facets_found)
     assert rep.rank_tested >= rep.rank_sets >= (rep.rank_tested > 0)
+    assert rep.rank_sets >= rep.support_settled >= 0
 
 
 EXHAUSTIVE_3322 = SearchConfig(Scenario(3, 3), corr_range=(-1, 1), marg_min=-2)
@@ -276,7 +279,7 @@ def test_rank_queue_flushes_leave_the_report_unchanged(monkeypatch, exhaustive_3
     monkeypatch.setattr(search, "_RANK_QUEUE", 7)
     rep = run_search(EXHAUSTIVE_3322)
     assert outcome(rep) == outcome(exhaustive_3322)
-    assert outcome(rep)[0] == (177147, 3484, 8, 0, 0)
+    assert outcome(rep)[0] == (56295, 834, 2, 0, 0)
     assert [f.known_as for f in rep.facets_found] == ["I3322", "CHSH"]
     assert rep.rank_sets > exhaustive_3322.rank_sets
     assert_funnel(rep)
@@ -291,10 +294,11 @@ def test_each_distinct_saturating_set_is_ranked_once(monkeypatch):
 
     monkeypatch.setattr(search, "_affine_dims", recording)
     rep = run_search(EXHAUSTIVE_3322)
-    # the 3,484 rank-tested candidates fit one queue and hold 1,299 sets
+    # the 834 rank-tested candidates fit one queue and hold 331 sets, of
+    # which the support screen leaves 110 to the rank
     assert len(calls) == 1
-    assert len(np.unique(calls[0], axis=0)) == len(calls[0]) == 1299
-    assert (rep.rank_tested, rep.rank_sets) == (3484, 1299)
+    assert len(np.unique(calls[0], axis=0)) == len(calls[0]) == 110
+    assert (rep.rank_tested, rep.rank_sets, rep.support_settled) == (834, 331, 221)
     assert_funnel(rep)
 
 
@@ -322,8 +326,11 @@ def test_run_search_writes_files(tmp_path):
     assert equivalent(parsed, catalog_get("CHSH").functional)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["candidates_tested"] == 81
-    assert (report["rank_tested"], report["rank_sets"], report["tight"]) == (
-        rep.rank_tested, rep.rank_sets, rep.tight) == (5, 5, 1)
+    assert (report["rank_tested"], report["rank_sets"], report["support_settled"],
+            report["tight"]) == (
+        rep.rank_tested, rep.rank_sets, rep.support_settled, rep.tight) == (5, 5, 0, 1)
+    keys = list(report)
+    assert keys.index("support_settled") == keys.index("rank_sets") + 1
     assert report["facets_found"][0]["known_as"] == "CHSH"
 
 
@@ -351,10 +358,15 @@ def test_catalog_keys_hold_both_party_orders_off_the_diagonal(monkeypatch):
 
 
 def test_run_search_reduces_a_multiple_of_a_facet():
-    # the space holds 2*CHSH (bound 0) beside CHSH; both are the CHSH class
-    rep = run_search(SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3))
+    # the space holds 2*CHSH (bound 0) beside CHSH; both are the CHSH class,
+    # and the orbit cut keeps a 2*CHSH row, so the gcd reduction still runs
+    cfg = SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3)
+    chsh = catalog_get("CHSH").functional
+    double = [2 * c for c in chsh.alice_marg + chsh.bob_marg + sum(chsh.corr, ())]
+    assert double in np.vstack([_orbit_cut(cfg, rows) for rows in _raw_candidates(cfg)]).tolist()
+    rep = run_search(cfg)
     assert (rep.candidates_tested, rep.rank_tested, rep.tight, rep.new_count) == (
-        5625, 23, 2, 0)
+        3750, 18, 2, 0)
     assert [f.known_as for f in rep.facets_found] == ["CHSH"]
     found = rep.facets_found[0].functional
     coeffs = found.alice_marg + found.bob_marg + sum(found.corr, ())
@@ -373,3 +385,121 @@ def test_run_search_reports_a_class_missing_from_the_catalog(monkeypatch):
     assert rep.new_count == 1
     assert equivalent(rep.facets_found[0].functional, catalog_get("I3322").functional)
     assert_funnel(rep)
+
+
+def least_images(cfg):
+    """The exhaustive stream's rows that come first in it among their orbit
+    under every relabeling that keeps the stream: setting permutations that
+    fix each side's marginal tuple, and on square scenarios the party swap.
+    Brute force over the orbits, in stream order."""
+    s = cfg.scenario
+    rows = [tuple(r) for r in nested_loop_rows(cfg)]
+    position = {r: i for i, r in enumerate(rows)}
+    fixing = {}  # marginal tuple -> the setting permutations that keep it
+
+    def perms(tup):
+        if tup not in fixing:
+            fixing[tup] = [p for p in permutations(range(len(tup)))
+                           if tuple(tup[i] for i in p) == tup]
+        return fixing[tup]
+
+    least = set()
+    for row in rows:
+        a, b = row[:s.m_a], row[s.m_a:s.m_a + s.m_b]
+        corr = [row[s.m_a + s.m_b + x * s.m_b:s.m_a + s.m_b + (x + 1) * s.m_b]
+                for x in range(s.m_a)]
+        bases = [(a, b, corr)]
+        if s.m_a == s.m_b:
+            bases.append((b, a, [list(col) for col in zip(*corr)]))
+        first = min(position[ma + mb + tuple(c[x][y] for x in p for y in q)]
+                    for ma, mb, c in bases for p in perms(ma) for q in perms(mb))
+        least.add(rows[first])
+    return least
+
+
+def cut_rows(cfg):
+    kept = [_orbit_cut(cfg, rows) for rows in _raw_candidates(cfg)]
+    return [tuple(r) for r in np.vstack(kept).tolist()]
+
+
+@pytest.mark.parametrize("cfg, counts", [
+    (SearchConfig(Scenario(2, 2), corr_range=(-1, 1), marg_min=-2, strict_first=False),
+     None),
+    (SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3), None),
+    (SearchConfig(Scenario(2, 3), corr_range=(-1, 1), marg_min=-2, strict_first=False),
+     None),
+    (EXHAUSTIVE_3322, (41688, 56295, 177147)),
+], ids=["2222-loose", "2222-wide", "2x3-loose", "3322-strict"])
+def test_orbit_cut_keeps_every_least_image(cfg, counts):
+    position = {tuple(r): i for i, r in enumerate(nested_loop_rows(cfg))}
+    least, kept = least_images(cfg), cut_rows(cfg)
+    assert least <= set(kept)
+    places = [position[r] for r in kept]
+    assert places == sorted(places) and len(kept) < len(position)  # a stream-order subset
+    if counts is not None:
+        assert (len(least), len(kept), len(position)) == counts
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3),
+    EXHAUSTIVE_3322,
+    SearchConfig(Scenario(3, 3), corr_range=(-1, 1), marg_min=-2, strict_first=False),
+], ids=["2222-wide", "3322-strict", "3322-loose"])
+def test_orbit_cut_leaves_the_findings_unchanged(monkeypatch, cfg):
+    cut = run_search(cfg)
+    monkeypatch.setattr(search, "_orbit_cut", lambda cfg, rows: rows)
+    full = run_search(cfg)
+    assert outcome(cut)[1] == outcome(full)[1]
+    assert cut.new_count == full.new_count
+    assert cut.candidates_tested < full.candidates_tested
+    assert_funnel(cut)
+    assert_funnel(full)
+
+
+def test_orbit_cut_may_empty_a_chunk(exhaustive_3322):
+    # whole blocks with Alice's tuple above Bob's vanish; the run skips them
+    sizes = [len(_orbit_cut(EXHAUSTIVE_3322, rows)) for rows in _raw_candidates(EXHAUSTIVE_3322)]
+    assert 0 in sizes
+    assert sum(sizes) == exhaustive_3322.candidates_tested == 56295
+    assert [f.known_as for f in exhaustive_3322.facets_found] == ["I3322", "CHSH"]
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3),
+    EXHAUSTIVE_3322,
+    SearchConfig(Scenario(3, 3), corr_range=(-1, 1), marg_min=-2, strict_first=False),
+    SearchConfig(Scenario(3, 4), mode="random", seed=3),
+    SearchConfig(Scenario(4, 4), mode="random", seed=0),
+    SearchConfig(Scenario(4, 4), mode="random", seed=11),
+    SearchConfig(Scenario(4, 4), corr_range=(-1, 1), marg_min=-2, mode="random", seed=1),
+], ids=["2222-wide", "3322-strict", "3322-loose", "3422-random", "4422-seed0",
+        "4422-seed11", "4422-pm1-seed1"])
+def test_support_screen_settles_only_sets_that_cannot_be_tight(monkeypatch, cfg):
+    screened = run_search(cfg)
+    d = ns_dimension(cfg.scenario)
+    ranked = []
+
+    def checked(scenario, saturated):
+        dims = _affine_dims(scenario, saturated)
+        assert (dims <= _varying(scenario, saturated)).all()
+        ranked.append(len(saturated))
+        return dims
+
+    monkeypatch.setattr(search, "_affine_dims", checked)
+    monkeypatch.setattr(search, "_varying", lambda scenario, masks: np.full(len(masks), d))
+    unscreened = run_search(cfg)
+    assert outcome(unscreened) == outcome(screened)
+    assert unscreened.support_settled == 0
+    assert sum(ranked) == unscreened.rank_sets == screened.rank_sets > 0
+
+
+def test_orbit_cut_at_large_coefficients():
+    # lines are coded from C - lo; coded from C itself, the two-entry rows of
+    # a 3x2 table at lo = 2^61 - 1 would score 4 lo + v = 2^63 - 4 + v, with v
+    # the code of the row of C - lo, and wrap past int64's limit for v >= 4
+    lo = 2 ** 61 - 1
+    near, far = (SearchConfig(Scenario(3, 2), corr_range=(shift, shift + 2), marg_min=-2,
+                              strict_first=False) for shift in (0, lo))
+    kept, shifted = np.array(cut_rows(near)), np.array(cut_rows(far))
+    assert np.array_equal(shifted[:, :5], kept[:, :5])
+    assert np.array_equal(shifted[:, 5:] - lo, kept[:, 5:])
