@@ -10,17 +10,17 @@ there and "<=" later).  Every candidate's bound is its exact local bound,
 so the facet test is the only filter that matters.  The search screens and
 ranks only what can change its report.
 
-The exhaustive stream first drops candidates that cannot come first in
-their relabeling orbit (`_orbit_cut`).  Permuting settings with equal
-marginal values, and on square scenarios swapping the parties, maps the
-stream into itself and keeps the bound, tightness and canonical key.  So
-the first tight row of each class in stream order is the least image of
-its orbit, and a least image has C's rows nondecreasing within each run of
-equal Alice marginals, its columns nondecreasing within each run of equal
-Bob marginals, and (square only) Alice's marginal tuple at most Bob's.  The
-cut keeps exactly the rows with these three properties, so the classes
-found, their first rows and the new count are those of the full stream;
-the funnel counts fall.  Random mode is not cut.
+The exhaustive stream yields only candidates that come first in their
+relabeling orbit.  Permuting settings with equal marginal values, and on
+square scenarios swapping the parties, maps the nested-loop stream into
+itself and keeps the bound, tightness and canonical key.  So the first
+tight row of each class in stream order is the least image of its orbit,
+and a least image has C's rows nondecreasing within each run of equal
+Alice marginals, its columns nondecreasing within each run of equal Bob
+marginals, and (square only) Alice's marginal tuple at most Bob's.  The
+stream holds exactly the rows with these three properties, so the classes
+found, their first rows and the new count are those of the nested loops;
+only the funnel counts are smaller.  Random mode draws from the full space.
 
 The screen scores each chunk by Bob's best response to each of Alice's
 strategies (`polytope._best_responses`): a candidate's bound and its number
@@ -50,17 +50,17 @@ catalog entry (lift to its own scenario is the identity).  Off the diagonal
 (m_a != m_b) a key does not carry the party swap, so each entry is also
 entered with its parties swapped, after every entry in its printed order.
 
-Candidates arrive as int64 numpy chunks of at most _CHUNK coefficient rows
+Candidates arrive as int64 numpy chunks of 1 to _CHUNK coefficient rows
 (M_A, M_B, then C by rows), the layout the scoring helper takes.  The
-exhaustive stream decodes an index range in mixed radix, in the order of
-nested loops over Alice's marginal tuple, Bob's, and the correlation cells
-with the last cell fastest, and the cut then filters each decoded chunk
-(a chunk it empties is skipped); the random stream draws each chunk from
-numpy's default generator seeded with `seed`.  The positivity key and the
-catalog keys are computed on demand: the first at the first tight
-candidate, the second at the first new class, so a run that finds no facet
-canonicalizes nothing.  The report counts the funnel: candidates screened
-(after the cut), those with at least d saturating strategies
+exhaustive stream visits the marginal pairs as nested loops, Alice's tuple
+outer, and decodes each pair's correlation tables in _CHUNK-row slices of
+mixed radix with the last cell fastest; each slice yields its least images,
+if it has any.  The random stream draws each chunk from numpy's default
+generator seeded with `seed`.  The positivity key and the catalog keys are
+computed on demand: the first at the first tight candidate, the second at
+the first new class, so a run that finds no facet canonicalizes nothing.
+The report counts the funnel: candidates screened (the least images in
+exhaustive mode), those with at least d saturating strategies
 (rank-tested), and those that passed the facet test (tight, trivial ones
 and repeats included); beside it, the distinct saturating sets and, of
 those, the ones the support screen settled (the rank layer's work is the
@@ -73,7 +73,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 from typing import Iterator
 
@@ -130,6 +130,8 @@ class SearchConfig:
             raise StructuralError(f"empty correlation range {self.corr_range}")
         if self.mode not in ("exhaustive", "random"):
             raise StructuralError(f"unknown search mode {self.mode!r}")
+        if self.marg_min > 0:
+            raise StructuralError("marg_min must be <= 0")
         if max(abs(lo), abs(hi), abs(self.marg_min)) >= _COEFF_LIMIT:
             raise StructuralError(
                 f"coefficient ranges must lie within +-(2^62 - 1), got corr_range "
@@ -150,7 +152,7 @@ class FacetFinding:
 @dataclass
 class SearchReport:
     config: SearchConfig
-    candidates_tested: int  # rows screened, after the orbit cut in exhaustive mode
+    candidates_tested: int  # rows screened: in exhaustive mode, the least images
     facets_found: list[FacetFinding] = field(default_factory=list)
     new_count: int = 0
     trivial_count: int = 0
@@ -161,8 +163,6 @@ class SearchReport:
 
 
 def _marginal_tuples(m: int, marg_min: int, strict_first: bool) -> list[tuple[int, ...]]:
-    if marg_min > 0:
-        raise StructuralError("marg_min must be <= 0")
     if m == 1:
         return [(0,)]
     out = []
@@ -175,39 +175,53 @@ def _marginal_tuples(m: int, marg_min: int, strict_first: bool) -> list[tuple[in
 
 
 def _raw_candidates(cfg: SearchConfig) -> Iterator[np.ndarray]:
-    """Chunks of at most _CHUNK int64 coefficient rows (M_A, M_B, then C by
-    rows) under the cfg constraints."""
-    a_rows = np.array(_marginal_tuples(cfg.scenario.m_a, cfg.marg_min, cfg.strict_first),
-                      dtype=np.int64).reshape(-1, cfg.scenario.m_a)
-    b_rows = np.array(_marginal_tuples(cfg.scenario.m_b, cfg.marg_min, cfg.strict_first),
-                      dtype=np.int64).reshape(-1, cfg.scenario.m_b)
+    """Chunks of 1 to _CHUNK int64 coefficient rows (M_A, M_B, then C by
+    rows) under the cfg constraints.  In exhaustive mode they are the least
+    images of the nested-loop stream, in its order: a square pair with
+    Alice's tuple above Bob's is skipped, and of each _CHUNK-row slice of a
+    pair's block, decoded as C - lo, only the tables whose tied lines are
+    nondecreasing are kept."""
+    ma, mb = cfg.scenario.m_a, cfg.scenario.m_b
+    a_rows = np.array(_marginal_tuples(ma, cfg.marg_min, cfg.strict_first),
+                      dtype=np.int64).reshape(-1, ma)
+    b_rows = np.array(_marginal_tuples(mb, cfg.marg_min, cfg.strict_first),
+                      dtype=np.int64).reshape(-1, mb)
     lo, hi = cfg.corr_range
-    cells = cfg.scenario.m_a * cfg.scenario.m_b
+    cells = ma * mb
     if cfg.mode == "exhaustive":
         radix = hi - lo + 1
-        per_marginals = radix ** cells
-        size = len(a_rows) * len(b_rows) * per_marginals
+        block = radix ** cells
+        size = len(a_rows) * len(b_rows) * block
         if size > EXHAUSTIVE_CAP:
             raise CapacityError(
                 f"exhaustive space has {size} candidates (cap {EXHAUSTIVE_CAP}); "
                 "use random mode")
-        # mixed radix: Alice's tuple outermost, then Bob's, the last cell
-        # fastest; every digit is peeled off as c - c // radix * radix, which
-        # equals c % radix here and costs far less in numpy
-        ma, mb = cfg.scenario.m_a, cfg.scenario.m_b
-        for start in range(0, size, _CHUNK):
-            index = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-            marginals = index // per_marginals
-            corr = index - marginals * per_marginals
-            alice = marginals // len(b_rows)
-            chunk = np.empty((len(index), ma + mb + cells), dtype=np.int64)
-            chunk[:, :ma] = a_rows[alice]
-            chunk[:, ma:ma + mb] = b_rows[marginals - alice * len(b_rows)]
-            for cell in range(ma + mb + cells - 1, ma + mb - 1, -1):
-                rest = corr // radix
-                chunk[:, cell] = lo + corr - rest * radix
-                corr = rest
-            yield chunk
+        for alice, bob in product(a_rows, b_rows):
+            if ma == mb and alice.tolist() > bob.tolist():
+                continue  # the pair with the parties swapped comes first
+            a_ties = np.flatnonzero(alice[1:] == alice[:-1])
+            b_ties = np.flatnonzero(bob[1:] == bob[:-1])
+            for start in range(0, block, _CHUNK):
+                # every digit is peeled off as c - c // radix * radix, which
+                # equals c % radix here and costs far less in numpy
+                index = np.arange(start, min(start + _CHUNK, block), dtype=np.int64)
+                digits = np.empty((cells, len(index)), dtype=np.int64)
+                for cell in range(cells - 1, -1, -1):
+                    rest = index // radix
+                    digits[cell] = index - rest * radix
+                    index = rest
+                grid = digits.reshape(ma, mb, -1)  # grid[x, y]: cell (x, y) of each row
+                keep = np.ones(digits.shape[1], dtype=bool)
+                for k in a_ties:
+                    keep &= _code(grid[k], radix) <= _code(grid[k + 1], radix)
+                for k in b_ties:
+                    keep &= _code(grid[:, k], radix) <= _code(grid[:, k + 1], radix)
+                kept = np.flatnonzero(keep)
+                if len(kept):  # the scorers take no empty table
+                    chunk = np.empty((len(kept), ma + mb + cells), dtype=np.int64)
+                    chunk[:, :ma], chunk[:, ma:ma + mb] = alice, bob
+                    chunk[:, ma + mb:] = digits[:, kept].T + lo
+                    yield chunk
     else:
         if not (len(a_rows) and len(b_rows)):
             raise StructuralError(
@@ -221,42 +235,11 @@ def _raw_candidates(cfg: SearchConfig) -> Iterator[np.ndarray]:
                              rng.integers(lo, hi, size=(n, cells), endpoint=True)])
 
 
-def _orbit_cut(cfg: SearchConfig, rows: np.ndarray) -> np.ndarray:
-    """The rows of an exhaustive chunk that may be the least image, in stream
-    order, of their orbit under the relabelings that keep the stream: C's
-    rows nondecreasing within each run of equal Alice marginals, its columns
-    nondecreasing within each run of equal Bob marginals, and on square
-    scenarios Alice's marginal tuple at most Bob's.  Lines of C - lo are
-    compared as base-radix codes, first entry most significant: their digits
-    lie in [0, radix), so the codes order the lines lexicographically and
-    stay below radix^m, which the exhaustive cap keeps within int64.  The marginals
-    are constant over each run of rows that share them, so the ties and the
-    tuple order are read once per run, and only tied lines are coded."""
-    ma, mb = cfg.scenario.m_a, cfg.scenario.m_b
-    lo, hi = cfg.corr_range
-    radix = hi - lo + 1
-    marg = rows[:, :ma + mb]
-    # the stream visits each marginal pair in one run, so equal ends mean one run
-    starts = [0] if (marg[0] == marg[-1]).all() else [
-        0, *(1 + np.flatnonzero((marg[1:] != marg[:-1]).any(axis=1))).tolist()]
-    corr = rows[:, ma + mb:].T.reshape(ma, mb, -1)  # corr[x, y]: cell (x, y) of each row
-    kept = []
-    for start, stop in zip(starts, starts[1:] + [len(rows)]):
-        alice, bob = marg[start, :ma].tolist(), marg[start, ma:].tolist()
-        if ma == mb and alice > bob:
-            continue
-        cells = corr[:, :, start:stop] - lo
-        keep = np.ones(stop - start, dtype=bool)
-        for tup, lines in ((alice, cells), (bob, cells.transpose(1, 0, 2))):
-            for k in range(len(tup) - 1):
-                if tup[k] == tup[k + 1]:
-                    keep &= _code(lines[k], radix) <= _code(lines[k + 1], radix)
-        kept.append(rows[start:stop][keep])
-    return np.concatenate(kept) if kept else rows[:0]
-
-
 def _code(line: np.ndarray, radix: int) -> np.ndarray:
-    """Horner's rule over a line's entries, one code per row."""
+    """Horner's rule over a line's entries, one code per row.  Entries of
+    C - lo lie in [0, radix), so the codes order the lines lexicographically,
+    first entry most significant, and stay below radix^m, which the
+    exhaustive cap keeps within int64."""
     code = line[0]
     for entry in line[1:]:
         code = code * radix + entry
@@ -370,10 +353,6 @@ def run_search(cfg: SearchConfig, out_dir: str | Path | None = None) -> SearchRe
     count = 1 << (scenario.m_a + scenario.m_b)
     queue, queued = [], 0  # one _screen result per chunk
     for rows in _raw_candidates(cfg):
-        if cfg.mode == "exhaustive":
-            rows = _orbit_cut(cfg, rows)
-            if not len(rows):  # the scorers take no empty table
-                continue
         report.candidates_tested += len(rows)
         queue.append(_screen(scenario, rows))
         report.rank_tested += len(queue[-1][0])

@@ -320,6 +320,13 @@ def test_search_coefficients_past_int64_are_usage_error(capsys):
     assert "2^62" in err
 
 
+def test_search_positive_marg_min_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "search", "--ma", "2", "--mb", "2", "--marg-min", "1")
+    assert code == 2
+    assert out == ""
+    assert "error: marg_min must be <= 0" in err
+
+
 def test_search_over_an_empty_marginal_space(capsys):
     space = ["search", "--ma", "2", "--mb", "2", "--marg-min", "0", "--format", "json"]
     code, out, _ = run_cli(capsys, *space)

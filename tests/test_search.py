@@ -1,6 +1,6 @@
 import json
 import math
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from bellscan.search import (
     _build,
     _catalog_keys,
     _marginal_tuples,
-    _orbit_cut,
     _raw_candidates,
     _screen,
     _varying,
@@ -33,9 +32,9 @@ from bellscan.symmetry import canonical_key, equivalent
 from reference_walks import full_table_screen
 
 
-def generate_candidates(cfg):
+def generate_candidates(cfg, stream=_raw_candidates):
     """The candidate stream of run_search, each bound set to its exact local bound."""
-    for rows in _raw_candidates(cfg):
+    for rows in stream(cfg):
         for row in rows:
             f = _build(cfg.scenario, row, 0)
             yield _build(cfg.scenario, row, local_bound(f))
@@ -52,13 +51,37 @@ def nested_loop_rows(cfg):
                 yield am + bm + flat
 
 
+def full_stream(cfg):
+    """The whole nested-loop stream in int64 chunks of _CHUNK rows, in the
+    layout of search._raw_candidates, for tests that need every row."""
+    rows = nested_loop_rows(cfg)
+    while chunk := list(islice(rows, _CHUNK)):
+        yield np.array(chunk, dtype=np.int64)
+
+
+def is_least_image(cfg, row):
+    """Whether a row of the nested-loop stream comes first in it among its
+    images under the relabelings that keep the stream: C's rows
+    nondecreasing within each run of equal Alice marginals, its columns
+    within each run of equal Bob marginals, and on square scenarios Alice's
+    marginal tuple at most Bob's."""
+    ma, mb = cfg.scenario.m_a, cfg.scenario.m_b
+    a, b = tuple(row[:ma]), tuple(row[ma:ma + mb])
+    corr = [tuple(row[ma + mb + x * mb:ma + mb + (x + 1) * mb]) for x in range(ma)]
+    cols = list(zip(*corr))
+    return (not (ma == mb and a > b)
+            and all(corr[x] <= corr[x + 1] for x in range(ma - 1) if a[x] == a[x + 1])
+            and all(cols[y] <= cols[y + 1] for y in range(mb - 1) if b[y] == b[y + 1]))
+
+
 def stream_rows(cfg):
     chunks = list(_raw_candidates(cfg))
     terms = cfg.scenario.m_a + cfg.scenario.m_b + cfg.scenario.m_a * cfg.scenario.m_b
     for chunk in chunks:
         assert chunk.dtype == np.int64 and chunk.ndim == 2 and chunk.shape[1] == terms
-        assert 1 <= len(chunk) <= _CHUNK
-    assert all(len(c) == _CHUNK for c in chunks[:-1])
+        assert 1 <= len(chunk) <= search._CHUNK
+    if cfg.mode == "random":
+        assert all(len(c) == _CHUNK for c in chunks[:-1])
     return np.vstack(chunks)
 
 
@@ -86,15 +109,15 @@ def outcome(rep):
 
 
 @pytest.mark.parametrize("cfg", [
-    SearchConfig(Scenario(2, 2), corr_range=(-1, 1), marg_min=-1),
+    SearchConfig(Scenario(2, 2), corr_range=(-1, 1), marg_min=-1),  # no ties: all 81 rows
     SearchConfig(Scenario(3, 3), corr_range=(-1, 0), marg_min=-2),  # 4608 rows
     SearchConfig(Scenario(3, 3), corr_range=(-1, 0), marg_min=-2,
-                 strict_first=False),  # 18432 rows: 4.5 chunks
+                 strict_first=False),  # 18432 rows
     SearchConfig(Scenario(1, 3), corr_range=(-2, 1), marg_min=-2),  # one-setting side
 ], ids=["2222", "3322-strict", "3322-loose", "1x3"])
 def test_exhaustive_stream_matches_nested_loops(cfg):
-    expected = list(nested_loop_rows(cfg))
-    assert stream_rows(cfg).tolist() == [list(r) for r in expected]
+    expected = [list(r) for r in nested_loop_rows(cfg) if is_least_image(cfg, r)]
+    assert stream_rows(cfg).tolist() == expected
 
 
 @pytest.mark.parametrize("cfg", [
@@ -108,7 +131,7 @@ def test_exhaustive_stream_matches_nested_loops(cfg):
 def test_best_response_screen_matches_the_full_table(cfg):
     s = cfg.scenario
     ranked = 0
-    for rows in _raw_candidates(cfg):
+    for rows in (full_stream if cfg.mode == "exhaustive" else _raw_candidates)(cfg):
         got, want = _screen(s, rows), full_table_screen(s, rows)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -148,10 +171,14 @@ def test_generate_includes_printed_tables():
     chsh = catalog_get("CHSH").functional
     assert any(f == chsh for f in generate_candidates(cfg))
 
+    # the printed I3322 is in the full stream only: Bob's tied columns 1 and 2
+    # are out of order, so its least image is another table
     cfg = SearchConfig(Scenario(3, 3), corr_range=(-1, 1), marg_min=-2)
     i3322 = catalog_get("I3322").functional
+    printed = i3322.alice_marg + i3322.bob_marg + sum(i3322.corr, ())
+    assert not is_least_image(cfg, printed)
     found = False
-    for f in generate_candidates(cfg):
+    for f in generate_candidates(cfg, stream=full_stream):
         if (f.alice_marg, f.bob_marg, f.corr) == (
                 i3322.alice_marg, i3322.bob_marg, i3322.corr):
             assert f.bound == i3322.bound  # bound comes out of local_bound
@@ -192,6 +219,9 @@ def test_config_validation():
         SearchConfig(Scenario(2, 2), mode="random", sample_count=0)
     with pytest.raises(StructuralError):
         SearchConfig(Scenario(2, 2), mode="random", seed=-1)
+    with pytest.raises(StructuralError) as err:
+        SearchConfig(Scenario(2, 2), marg_min=1)  # refused before any stream starts
+    assert "marg_min must be <= 0" in str(err.value)
 
 
 def test_empty_marginal_space():
@@ -359,11 +389,12 @@ def test_catalog_keys_hold_both_party_orders_off_the_diagonal(monkeypatch):
 
 def test_run_search_reduces_a_multiple_of_a_facet():
     # the space holds 2*CHSH (bound 0) beside CHSH; both are the CHSH class,
-    # and the orbit cut keeps a 2*CHSH row, so the gcd reduction still runs
+    # and 2*CHSH is a least image in the stream, so the gcd reduction still runs
     cfg = SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3)
     chsh = catalog_get("CHSH").functional
     double = [2 * c for c in chsh.alice_marg + chsh.bob_marg + sum(chsh.corr, ())]
-    assert double in np.vstack([_orbit_cut(cfg, rows) for rows in _raw_candidates(cfg)]).tolist()
+    assert double in np.vstack(list(full_stream(cfg))).tolist()
+    assert double in stream_rows(cfg).tolist()
     rep = run_search(cfg)
     assert (rep.candidates_tested, rep.rank_tested, rep.tight, rep.new_count) == (
         3750, 18, 2, 0)
@@ -417,9 +448,8 @@ def least_images(cfg):
     return least
 
 
-def cut_rows(cfg):
-    kept = [_orbit_cut(cfg, rows) for rows in _raw_candidates(cfg)]
-    return [tuple(r) for r in np.vstack(kept).tolist()]
+def stream_tuples(cfg):
+    return [tuple(r) for r in stream_rows(cfg).tolist()]
 
 
 @pytest.mark.parametrize("cfg, counts", [
@@ -432,7 +462,7 @@ def cut_rows(cfg):
 ], ids=["2222-loose", "2222-wide", "2x3-loose", "3322-strict"])
 def test_orbit_cut_keeps_every_least_image(cfg, counts):
     position = {tuple(r): i for i, r in enumerate(nested_loop_rows(cfg))}
-    least, kept = least_images(cfg), cut_rows(cfg)
+    least, kept = least_images(cfg), stream_tuples(cfg)
     assert least <= set(kept)
     places = [position[r] for r in kept]
     assert places == sorted(places) and len(kept) < len(position)  # a stream-order subset
@@ -447,7 +477,7 @@ def test_orbit_cut_keeps_every_least_image(cfg, counts):
 ], ids=["2222-wide", "3322-strict", "3322-loose"])
 def test_orbit_cut_leaves_the_findings_unchanged(monkeypatch, cfg):
     cut = run_search(cfg)
-    monkeypatch.setattr(search, "_orbit_cut", lambda cfg, rows: rows)
+    monkeypatch.setattr(search, "_raw_candidates", full_stream)
     full = run_search(cfg)
     assert outcome(cut)[1] == outcome(full)[1]
     assert cut.new_count == full.new_count
@@ -456,12 +486,28 @@ def test_orbit_cut_leaves_the_findings_unchanged(monkeypatch, cfg):
     assert_funnel(full)
 
 
-def test_orbit_cut_may_empty_a_chunk(exhaustive_3322):
-    # whole blocks with Alice's tuple above Bob's vanish; the run skips them
-    sizes = [len(_orbit_cut(EXHAUSTIVE_3322, rows)) for rows in _raw_candidates(EXHAUSTIVE_3322)]
-    assert 0 in sizes
-    assert sum(sizes) == exhaustive_3322.candidates_tested == 56295
+def test_exhaustive_chunks_are_nonempty_and_skip_swapped_pairs(exhaustive_3322):
+    # a square pair with Alice's tuple above Bob's yields nothing, and no
+    # chunk is empty, since the scorers take no empty table
+    chunks = list(_raw_candidates(EXHAUSTIVE_3322))
+    assert min(map(len, chunks)) >= 1
+    rows = np.vstack(chunks)
+    assert all(a <= b for a, b in zip(rows[:, :3].tolist(), rows[:, 3:6].tolist()))
+    assert len(rows) == exhaustive_3322.candidates_tested == 56295
     assert [f.known_as for f in exhaustive_3322.facets_found] == ["I3322", "CHSH"]
+
+
+@pytest.mark.parametrize("cfg", [
+    SearchConfig(Scenario(2, 2), corr_range=(-2, 2), marg_min=-3),
+    EXHAUSTIVE_3322,
+    SearchConfig(Scenario(1, 3), corr_range=(-2, 1), marg_min=-2),
+], ids=["2222-wide", "3322-strict", "1x3"])
+@pytest.mark.parametrize("chunk", [7, 1000])
+def test_chunk_boundaries_inside_a_block_change_nothing(monkeypatch, cfg, chunk):
+    rows, rep = stream_rows(cfg), run_search(cfg)
+    monkeypatch.setattr(search, "_CHUNK", chunk)
+    assert np.array_equal(stream_rows(cfg), rows)  # every chunk holds 1 to `chunk` rows
+    assert outcome(run_search(cfg)) == outcome(rep)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -500,6 +546,8 @@ def test_orbit_cut_at_large_coefficients():
     lo = 2 ** 61 - 1
     near, far = (SearchConfig(Scenario(3, 2), corr_range=(shift, shift + 2), marg_min=-2,
                               strict_first=False) for shift in (0, lo))
-    kept, shifted = np.array(cut_rows(near)), np.array(cut_rows(far))
+    kept, shifted = np.array(stream_tuples(near)), np.array(stream_tuples(far))
     assert np.array_equal(shifted[:, :5], kept[:, :5])
     assert np.array_equal(shifted[:, 5:] - lo, kept[:, 5:])
+    # the plain-Python predicate compares the large entries without codes
+    assert stream_tuples(far) == [r for r in nested_loop_rows(far) if is_least_image(far, r)]
