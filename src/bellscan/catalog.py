@@ -292,41 +292,8 @@ _TABLES: dict[str, str] = {
     """,
 }
 
-PRIMARY_NAMES: tuple[str, ...] = (
-    "CHSH",
-    "I3322",
-    "I4322_1",
-    "I4322_2",
-    "I4322_3",
-    "I4422_1",
-    "I4422_2",
-    "A5",
-    "A6",
-    "AS1",
-    "AS2",
-    "AII1",
-    "AII2",
-    "I4422_3",
-    "I4422_4",
-    "I4422_5",
-    "I4422_6",
-    "I4422_7",
-    "I4422_8",
-    "I4422_9",
-    "I4422_10",
-    "I4422_11",
-    "I4422_12",
-    "I4422_13",
-    "I4422_14",
-    "I4422_15",
-    "I4422_16",
-    "I4422_17",
-    "I4422_18",
-    "I4422_19",
-    "I4422_20",
-)
-
 SUPPLEMENTARY_NAMES: tuple[str, ...] = ("I3322_TILDE",)
+PRIMARY_NAMES: tuple[str, ...] = tuple(n for n in _TABLES if n not in SUPPLEMENTARY_NAMES)
 
 
 @lru_cache(maxsize=None)

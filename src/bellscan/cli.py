@@ -5,6 +5,11 @@ and facet reports, canonical forms and equivalence, symmetric
 representatives, quantum maximization, noise and detection thresholds,
 the candidate search, and the full benchmark table.
 
+Each subcommand returns its reply as (exit code, payload, lines) and
+writes nothing: the payload is the JSON reply and the lines are the text
+reply (the CSV rows under `--format csv`).  `main` prints the one that
+`--format` asks for.
+
 Exit codes: 0 on success, 1 when a computation's answer is "none / not
 violated / inequivalent", 2 on usage errors.  Angles on the command line
 are given as theta/pi.
@@ -115,88 +120,74 @@ def _parse_theta(value, *, allow_free=False) -> float | None:
     return t * math.pi
 
 
-def _emit(payload: dict, args, text_lines) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _none(name: str, key: str) -> tuple:
+    """The reply of a computation whose answer is none."""
+    return EXIT_NONE, {"name": name, key: None}, ["none"]
 
 
-def _cmd_catalog(args) -> int:
-    entries = catalog_list()
-    if args.format == "json":
-        print(json.dumps([
-            {"name": e.name, "ma": e.native_scenario.m_a,
-             "mb": e.native_scenario.m_b, "bound": str(e.functional.bound),
-             "primary": e.primary}
-            for e in entries], indent=2))
-    else:
-        for e in entries:
-            kind = "primary" if e.primary else "supplementary"
-            print(f"{e.name:12s} ({e.native_scenario.m_a},{e.native_scenario.m_b})  "
-                  f"bound {e.functional.bound!s:>3}  {kind}")
-    return EXIT_OK
+def _functional_reply(name: str, f: BellFunctional) -> tuple:
+    """A functional as a reply: its JSON mirror, or its text form."""
+    return EXIT_OK, functional_to_json(f, name=name), serialize_functional(f).splitlines()
 
 
-def _cmd_bound(args) -> int:
+def _cmd_catalog(args) -> tuple:
+    payload, lines = [], []
+    for e in catalog_list():
+        s = e.native_scenario
+        payload.append({"name": e.name, "ma": s.m_a, "mb": s.m_b,
+                        "bound": str(e.functional.bound), "primary": e.primary})
+        kind = "primary" if e.primary else "supplementary"
+        lines.append(f"{e.name:12s} ({s.m_a},{s.m_b})  "
+                     f"bound {e.functional.bound!s:>3}  {kind}")
+    return EXIT_OK, payload, lines
+
+
+def _cmd_bound(args) -> tuple:
     name, f = _load_one(args)
     value = local_bound(f)
-    _emit({"name": name, "local_bound": str(value)}, args, [str(value)])
-    return EXIT_OK
+    return EXIT_OK, {"name": name, "local_bound": str(value)}, [str(value)]
 
 
-def _cmd_facet(args) -> int:
+def _cmd_facet(args) -> tuple:
     name, f = _load_one(args)
     rep = facet_check(f)
     payload = {"name": name, "is_tight": rep.is_tight,
                "local_bound": str(rep.local_bound),
                "saturating_count": rep.saturating_count,
                "affine_dim": rep.affine_dim, "ns_dim": rep.ns_dim}
-    _emit(payload, args, [
+    return EXIT_OK if rep.is_tight else EXIT_NONE, payload, [
         f"tight: {'yes' if rep.is_tight else 'no'}",
         f"local bound: {rep.local_bound}",
         f"saturating strategies: {rep.saturating_count}",
         f"affine dimension: {rep.affine_dim} (no-signaling dimension {rep.ns_dim})",
-    ])
-    return EXIT_OK if rep.is_tight else EXIT_NONE
+    ]
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args) -> tuple:
     name, f = _load_one(args)
-    cf = canonical_form(f)
-    if args.format == "json":
-        print(json.dumps(functional_to_json(cf, name=name), indent=2))
-    else:
-        sys.stdout.write(serialize_functional(cf))
-    return EXIT_OK
+    return _functional_reply(name, canonical_form(f))
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple:
     items = _load_functionals(args)
     if len(items) != 2:
         raise _UsageError("equiv needs exactly two functionals")
     (na, fa), (nb, fb) = items
     same = equivalent(fa, fb)
-    _emit({"first": na, "second": nb, "equivalent": same}, args,
-          ["equivalent" if same else "inequivalent"])
-    return EXIT_OK if same else EXIT_NONE
+    return (EXIT_OK if same else EXIT_NONE,
+            {"first": na, "second": nb, "equivalent": same},
+            ["equivalent" if same else "inequivalent"])
 
 
-def _cmd_symmetric(args) -> int:
+def _cmd_symmetric(args) -> tuple:
     name, f = _load_one(args)
     rep = symmetric_representative(f)
     if rep is None:
-        _emit({"name": name, "symmetric": None}, args, ["none"])
-        return EXIT_NONE
-    if args.format == "json":
-        print(json.dumps(functional_to_json(rep, name=name), indent=2))
-    else:
-        sys.stdout.write(serialize_functional(rep))
-    return EXIT_OK
+        return _none(name, "symmetric")
+    return _functional_reply(name, rep)
 
 
-def _cmd_qmax(args) -> int:
+def _cmd_qmax(args) -> tuple:
     name, f = _load_one(args)
     theta = _parse_theta(args.theta, allow_free=True)
     res = seesaw_maximize(f, restarts=args.restarts, seed=args.seed, theta=theta,
@@ -206,45 +197,39 @@ def _cmd_qmax(args) -> int:
                "restarts": res.restarts_used, "sweeps": res.sweeps,
                "row_sweeps": res.row_sweeps, "converged": res.converged,
                "accepted": res.accepted}
-    _emit(payload, args, [
+    return EXIT_OK if res.violation > _VIOLATION_MARGIN else EXIT_NONE, payload, [
         f"value: {res.value:.6f}",
         f"violation: {res.violation:.6f}",
         f"theta_max/pi: {res.theta_max / math.pi:.6f}",
-    ])
-    return EXIT_OK if res.violation > _VIOLATION_MARGIN else EXIT_NONE
+    ]
 
 
-def _cmd_noise(args) -> int:
+def _cmd_noise(args) -> tuple:
     name, f = _load_one(args)
     theta = _parse_theta(args.theta)
     res = noise_threshold(f, theta, allow_degenerate=args.degenerate,
                           restarts=args.restarts, seed=args.seed)
     if res is None:
-        _emit({"name": name, "w_threshold": None}, args, ["none"])
-        return EXIT_NONE
-    _emit({"name": name, "w_threshold": res.w_threshold,
-           "theta_over_pi": theta / math.pi, "batches": res.batches,
-           "row_sweeps": res.row_sweeps}, args,
-          [f"{res.w_threshold:.4f}"])
-    return EXIT_OK
+        return _none(name, "w_threshold")
+    return EXIT_OK, {"name": name, "w_threshold": res.w_threshold,
+                     "theta_over_pi": theta / math.pi, "batches": res.batches,
+                     "row_sweeps": res.row_sweeps}, [f"{res.w_threshold:.4f}"]
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args) -> tuple:
     name, f = _load_one(args)
     theta = _parse_theta(args.theta)
     res = eta_threshold_symmetric(f, theta, seed=args.seed,
                                   restarts=args.inner_restarts,
                                   allow_degenerate=args.degenerate)
     if res is None:
-        _emit({"name": name, "eta": None}, args, ["none"])
-        return EXIT_NONE
-    _emit({"name": name, "eta": res.eta, "noclick_a": list(res.noclick_a),
-           "noclick_b": list(res.noclick_b), "batches": res.batches,
-           "row_sweeps": res.row_sweeps}, args, [f"{res.eta:.4f}"])
-    return EXIT_OK
+        return _none(name, "eta")
+    return EXIT_OK, {"name": name, "eta": res.eta, "noclick_a": list(res.noclick_a),
+                     "noclick_b": list(res.noclick_b), "batches": res.batches,
+                     "row_sweeps": res.row_sweeps}, [f"{res.eta:.4f}"]
 
 
-def _cmd_eta_asym(args) -> int:
+def _cmd_eta_asym(args) -> tuple:
     name, f = _load_one(args)
     if args.sweep:
         if args.theta is not None:
@@ -264,21 +249,18 @@ def _cmd_eta_asym(args) -> int:
                    "sweep": [{"theta_over_pi": t, "eta_b": e} for t, e in rows],
                    "min_eta_b": min(finite) if finite else None,
                    "extrapolated_eta_b": extrapolated}
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        elif args.format == "csv":
-            print("theta_over_pi,eta_b")
-            for t, e in rows:
-                print(f"{t:.6f},{'' if e is None else f'{e:.4f}'}")
+        if args.format == "csv":
+            lines = ["theta_over_pi,eta_b"] + [
+                f"{t:.6f},{'' if e is None else f'{e:.4f}'}" for t, e in rows]
         else:
-            for t, e in rows:
-                print(f"theta/pi={t:.4f}  eta_b={'none' if e is None else f'{e:.4f}'}")
+            lines = [f"theta/pi={t:.4f}  eta_b={'none' if e is None else f'{e:.4f}'}"
+                     for t, e in rows]
             if finite:
-                print(f"smallest on grid: {min(finite):.4f}")
+                lines.append(f"smallest on grid: {min(finite):.4f}")
             if extrapolated is not None:
-                print(f"linear extrapolation to theta=0: {extrapolated:.4f} "
-                      "(trend only, not an exact limit)")
-        return EXIT_OK if finite else EXIT_NONE
+                lines.append(f"linear extrapolation to theta=0: {extrapolated:.4f} "
+                             "(trend only, not an exact limit)")
+        return EXIT_OK if finite else EXIT_NONE, payload, lines
 
     if args.format == "csv":
         raise _UsageError("--format csv needs --sweep")
@@ -287,15 +269,13 @@ def _cmd_eta_asym(args) -> int:
                                    restarts=args.inner_restarts,
                                    allow_degenerate=args.degenerate)
     if res is None:
-        _emit({"name": name, "eta_b": None}, args, ["none"])
-        return EXIT_NONE
-    _emit({"name": name, "eta_b": res.eta, "noclick_b": list(res.noclick_b),
-           "batches": res.batches, "row_sweeps": res.row_sweeps},
-          args, [f"{res.eta:.4f}"])
-    return EXIT_OK
+        return _none(name, "eta_b")
+    return EXIT_OK, {"name": name, "eta_b": res.eta, "noclick_b": list(res.noclick_b),
+                     "batches": res.batches, "row_sweeps": res.row_sweeps}, [
+        f"{res.eta:.4f}"]
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     sampling = {k: v for k, v in (("sample_count", args.samples),
                                   ("seed", args.seed)) if v is not None}
     if sampling and args.mode != "random":
@@ -309,37 +289,29 @@ def _cmd_search(args) -> int:
         **sampling,
     )
     report = run_search(cfg, out_dir=args.out)
-    if args.format == "json":
-        print(json.dumps(report_to_json(report), indent=2))
-    else:
-        print(f"candidates tested: {report.candidates_tested}")
-        print(f"rank-tested (at least d saturating strategies): {report.rank_tested}")
-        print(f"distinct saturating sets: {report.rank_sets}")
-        print(f"  settled by the support screen, not ranked: {report.support_settled}")
-        print(f"tight (facets, trivial and repeats included): {report.tight}")
-        print(f"trivial facets (positivity class): {report.trivial_count}")
-        print(f"facet classes found: {len(report.facets_found)} "
-              f"({report.new_count} not in the catalog)")
-        for finding in report.facets_found:
-            print(f"  {finding.known_as or 'NEW'}")
-        if args.out:
-            print(f"written to {args.out}")
-    return EXIT_OK
+    lines = [
+        f"candidates tested: {report.candidates_tested}",
+        f"rank-tested (at least d saturating strategies): {report.rank_tested}",
+        f"distinct saturating sets: {report.rank_sets}",
+        f"  settled by the support screen, not ranked: {report.support_settled}",
+        f"tight (facets, trivial and repeats included): {report.tight}",
+        f"trivial facets (positivity class): {report.trivial_count}",
+        f"facet classes found: {len(report.facets_found)} "
+        f"({report.new_count} not in the catalog)",
+    ] + [f"  {finding.known_as or 'NEW'}" for finding in report.facets_found]
+    if args.out:
+        lines.append(f"written to {args.out}")
+    return EXIT_OK, report_to_json(report), lines
 
 
-def _cmd_table1(args) -> int:
-    names = args.only or None
-    rows = compute_table(names, seed=args.seed, restarts=args.restarts,
+def _cmd_table1(args) -> tuple:
+    rows = compute_table(args.only or None, seed=args.seed, restarts=args.restarts,
                          jobs=args.jobs)
-    if args.format == "json":
-        print(json.dumps([
-            {"name": r.name, "violation": r.violation,
-             "theta_max_over_pi": r.theta_max_over_pi, "w_max": r.w_max,
-             "w": r.w, "eta": r.eta_symmetric}
-            for r in rows], indent=2))
-    else:
-        sys.stdout.write(format_table(rows, args.format))
-    return EXIT_OK
+    payload = [{"name": r.name, "violation": r.violation,
+                "theta_max_over_pi": r.theta_max_over_pi, "w_max": r.w_max,
+                "w": r.w, "eta": r.eta_symmetric} for r in rows]
+    text = format_table(rows, "csv" if args.format == "csv" else "text")
+    return EXIT_OK, payload, text.splitlines()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,16 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
             ("bound", _cmd_bound, "exact local bound"),
             ("facet", _cmd_facet, "facet (tightness) report"),
             ("canon", _cmd_canon, "canonical form under relabelings"),
-            ("symmetric", _cmd_symmetric, "party-symmetric representative")):
+            ("symmetric", _cmd_symmetric, "party-symmetric representative"),
+            ("equiv", _cmd_equiv, "equivalence under relabelings")):
         p = sub.add_parser(cmd, help=help_text)
         _add_input_flags(p)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("equiv", help="equivalence under relabelings")
-    _add_input_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("qmax", help="see-saw quantum maximum")
     _add_input_flags(p)
@@ -424,17 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the reply is printed inside the try, so a failed write to stdout is
+    # reported like any other OSError
     try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, payload, lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except CatalogKeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    except (BellError, OSError, json.JSONDecodeError) as exc:
+    except (_UsageError, BellError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

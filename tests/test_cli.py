@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from bellscan import table
 from bellscan.catalog import catalog_get
 from bellscan.cli import main
 from bellscan.core import (
@@ -17,7 +19,7 @@ from bellscan.core import (
     serialize_functional,
 )
 from bellscan.quantum import seesaw_maximize
-from bellscan.robustness import eta_threshold_asymmetric
+from bellscan.robustness import DEFAULT_SWEEP_THETAS, eta_threshold_asymmetric
 from bellscan.symmetry import equivalent
 
 
@@ -37,6 +39,41 @@ def test_bound_fraction_formatting(capsys):
     code, out, _ = run_cli(capsys, "bound", "--name", "I4422_7")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_catalog_text_and_json(capsys):
+    code, out, _ = run_cli(capsys, "catalog")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 32
+    assert lines[0] == "CHSH         (2,2)  bound   0  primary"
+    assert lines[-1] == "I3322_TILDE  (3,3)  bound   0  supplementary"
+    code, out, _ = run_cli(capsys, "catalog", "--format", "json")
+    assert code == 0
+    entries = json.loads(out)
+    assert len(entries) == 32
+    assert entries[0] == {"name": "CHSH", "ma": 2, "mb": 2, "bound": "0",
+                          "primary": True}
+    assert entries[-1] == {"name": "I3322_TILDE", "ma": 3, "mb": 3, "bound": "0",
+                           "primary": False}
+    assert [e["name"] for e in entries] == [line.split()[0] for line in lines]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["equiv", "--name", "CHSH"], "error: equiv needs exactly two functionals"),
+    (["bound", "--name", "CHSH", "--name", "I3322"],
+     "error: expected exactly one functional"),
+    (["qmax", "--name", "CHSH", "--theta", "abc"], "error: bad theta 'abc'"),
+    (["qmax", "--name", "CHSH", "--theta", "0.3"],
+     "error: theta/pi must lie in [0, 0.25]"),
+    (["noise", "--name", "CHSH", "--theta", "free"],
+     "error: 'free' is not valid here; give theta/pi as a number"),
+])
+def test_input_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
 
 
 def test_bound_past_the_strategy_guard_is_usage_error(tmp_path, capsys):
@@ -120,6 +157,9 @@ def test_canon_roundtrips(capsys):
     code, out, _ = run_cli(capsys, "canon", "--name", "I3322_TILDE")
     assert code == 0
     assert parse_functional(out) == canon_i3322
+    code, out, _ = run_cli(capsys, "canon", "--name", "I3322", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == functional_to_json(canon_i3322, name="I3322")
 
 
 def test_symmetric_none_exits_one(capsys):
@@ -170,15 +210,25 @@ def test_qmax_not_violating_exits_one(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("cmd, key", [
-    ("noise", "w_threshold"), ("eta", "eta"), ("eta-asym", "eta_b")])
-def test_threshold_without_violation_replies_none(tmp_path, capsys, cmd, key):
+@pytest.mark.parametrize("cmd, key, root_finder", [
+    ("noise", "w_threshold", ["--degenerate", "--restarts", "2"]),
+    ("eta", "eta", ["--theta", "0.2", "--inner-restarts", "2"]),
+    ("eta-asym", "eta_b", ["--theta", "0.2", "--inner-restarts", "2"]),
+], ids=["noise-w_threshold", "eta-eta", "eta-asym-eta_b"])
+def test_threshold_without_violation_replies_none(tmp_path, capsys, cmd, key,
+                                                  root_finder):
+    # the defaults take the closed form at pi/4 with rank-1 effects; the
+    # root_finder flags make the witnessed root-finder find no violation
     raised = tmp_path / "raised.bell"
     raised.write_text(RAISED_CHSH)
-    code, out, _ = run_cli(capsys, cmd, "--file", str(raised), "--seed", "1",
-                           "--format", "json")
-    assert code == 1
-    assert json.loads(out) == {"name": str(raised), key: None}
+    for extra in ([], root_finder):
+        argv = [cmd, "--file", str(raised), "--seed", "1", *extra]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {"name": str(raised), key: None}
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == "none\n"
 
 
 def test_noise_theta_flag(capsys):
@@ -189,12 +239,23 @@ def test_noise_theta_flag(capsys):
 
 
 def test_noise_theta_zero_is_usage_error(capsys):
-    # theta = 0 is a product state; it must not fall back to pi/4
-    code, out, err = run_cli(capsys, "noise", "--name", "CHSH", "--theta", "0",
-                             "--seed", "1", "--restarts", "10")
-    assert code == 2
-    assert out == ""
-    assert "theta" in err
+    # theta = 0 is a product state; every threshold needs theta in (0, pi/4]
+    # and must not fall back to pi/4
+    for cmd in ("noise", "eta", "eta-asym"):
+        code, out, err = run_cli(capsys, cmd, "--name", "CHSH", "--theta", "0",
+                                 "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: theta 0.0 outside (0, pi/4]\n"
+
+
+def test_qmax_at_theta_zero_evaluates_the_product_state(capsys):
+    code, out, _ = run_cli(capsys, "qmax", "--name", "CHSH", "--theta", "0",
+                           "--restarts", "4", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["violation"] == 0.0
+    assert payload["theta_max_over_pi"] == 0.0
 
 
 def test_flags_only_on_subcommands_that_read_them(capsys):
@@ -277,6 +338,27 @@ def test_eta_asym_sweep_csv(capsys):
     assert len(lines) >= 7
 
 
+def test_eta_asym_sweep_text_and_json(capsys):
+    args = ["eta-asym", "--name", "CHSH", "--sweep", "--seed", "1", "--inner-restarts", "2"]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["name", "sweep", "min_eta_b", "extrapolated_eta_b"]
+    assert [p["theta_over_pi"] for p in payload["sweep"]] == \
+        [t / math.pi for t in DEFAULT_SWEEP_THETAS]
+    etas = [p["eta_b"] for p in payload["sweep"]]
+    assert payload["min_eta_b"] == min(etas)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:-2] == [f"theta/pi={t / math.pi:.4f}  eta_b={e:.4f}"
+                          for t, e in zip(DEFAULT_SWEEP_THETAS, etas)]
+    assert lines[-2] == f"smallest on grid: {payload['min_eta_b']:.4f}"
+    assert lines[-1] == (f"linear extrapolation to theta=0: "
+                         f"{payload['extrapolated_eta_b']:.4f} "
+                         "(trend only, not an exact limit)")
+
+
 def test_eta_asym_sweep_rejects_theta(capsys):
     # the sweep scans its own grid of angles, so --theta would be ignored
     code, out, err = run_cli(capsys, "eta-asym", "--name", "CHSH", "--sweep",
@@ -295,6 +377,18 @@ def test_search_text_reports_the_ranked_sets(capsys):
     assert lines[1:4] == ["rank-tested (at least d saturating strategies): 5",
                           "distinct saturating sets: 5",
                           "  settled by the support screen, not ranked: 0"]
+
+
+def test_search_text_names_the_output_directory(tmp_path, capsys):
+    out_dir = tmp_path / "found"
+    code, out, _ = run_cli(capsys, "search", "--ma", "2", "--mb", "2",
+                           "--corr-min", "-1", "--corr-max", "1",
+                           "--marg-min", "-1", "--out", str(out_dir))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-3:] == ["facet classes found: 1 (0 not in the catalog)", "  CHSH",
+                          f"written to {out_dir}"]
+    assert (out_dir / "report.json").exists()
 
 
 def test_search_sampling_flags_need_random_mode(capsys):
@@ -375,6 +469,19 @@ def test_table1_json_and_text_match_the_csv_row(capsys):
     header, line = out.splitlines()
     assert header.split() == ["name", "violation", "theta/pi", "w_max", "w", "eta"]
     assert line.split() == ["CHSH", "0.2071", "0.2500", "0.7071", "0.7071", "0.8284"]
+
+
+def test_table_row_without_violation_leaves_thresholds_empty(monkeypatch):
+    # a row that does not violate returns before any threshold is computed
+    def not_violating(f, **kwargs):
+        return SimpleNamespace(value=0.0, theta_max=math.pi / 8)
+
+    monkeypatch.setattr(table, "seesaw_maximize", not_violating)
+    row = table.compute_row("CHSH", seed=0, restarts=2)
+    assert row == table.ReportRow("CHSH", 0.0, 0.125, None, None, None)
+    assert table.format_table([row], "csv").splitlines()[1] == "CHSH,0.0000,0.1250,,,"
+    assert table.format_table([row], "text").splitlines()[1] == \
+        "CHSH  0.0000     0.1250" + " " * 27
 
 
 def test_table1_with_no_restarts_is_usage_error(capsys):
