@@ -243,8 +243,7 @@ def _cmd_eta_asym(args) -> tuple:
         extrapolated = None
         if len(finite) >= 2:
             (t1, e1), (t2, e2) = [(t, e) for t, e in rows if e is not None][-2:]
-            if t1 != t2:
-                extrapolated = e2 + (e2 - e1) * (0.0 - t2) / (t2 - t1)
+            extrapolated = e2 + (e2 - e1) * (0.0 - t2) / (t2 - t1)
         payload = {"name": name,
                    "sweep": [{"theta_over_pi": t, "eta_b": e} for t, e in rows],
                    "min_eta_b": min(finite) if finite else None,

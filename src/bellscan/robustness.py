@@ -17,17 +17,21 @@ ending at w = 1).  Its first step, at w = 1, decides whether the state
 violates at all.
 
 Detection model: each party holds a deterministic no-click assignment
-(bit 1 = output "0" on non-detection).  The detected behavior is an affine
-image of the quantum behavior, so for fixed assignments and efficiencies
-the optimization collapses onto an effective coefficient table evaluated
-on the undetected behavior plus a constant.
+(bit 1 = output "0" on non-detection), numbered as the strategy it
+outputs, s = s_a + 2^m_a s_b, the order of f's strategy table D
+(`polytope`); both efficiency paths read their no-click rows from one
+helper in that order (every s, or every s_b at s_a = 0 for eta_B).  The
+detected behavior is an affine image of the quantum behavior, so for
+fixed assignments and efficiencies the optimization collapses onto an
+effective coefficient table evaluated on the undetected behavior plus a
+constant.
 
 Both efficiency thresholds at theta = pi/4 with rank-1 effects are
-closed forms over f's strategy table D (`polytope`), D[s] the value of
-the deterministic strategy s = (s_a, s_b).  Every rank-1 marginal is 1/2
-there, so where only Alice detects the value is Abar[s_b], the mean of D
-over her strategies s_a, and where only Bob detects it is Bbar[s_a], the
-mean over s_b.  For no-click bits s the best detected value is
+closed forms over D, D[s] the value of strategy s.  Every rank-1
+marginal is 1/2 there, so where only Alice detects the value is
+Abar[s_b], the mean of D over her strategies s_a, and where only Bob
+detects it is Bbar[s_a], the mean over s_b.  For no-click bits s the
+best detected value is
 
     I'(eta) = eta^2 Q(pi/4) + eta (1 - eta) (Abar + Bbar) + (1 - eta)^2 D
 
@@ -196,17 +200,25 @@ def _smallest_roots(det, b, d, target):
     return np.where(gap <= 0, 0.0, pair.min(axis=0))
 
 
-def _threshold_from_above(tables, value, target, *, restarts, rng, **engine_options):
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta <= math.pi / 4 + 1e-12:
+        raise StructuralError(f"theta {theta} outside (0, pi/4]")
+
+
+def _threshold_from_above(f, tables, value, *, restarts, seed, **engine_options):
     """Witnessed root-finder from above for the smallest violating p in
     [0, 1] (see the module docstring); it runs every threshold see-saw
     batch but the closed forms' one.  tables(p) gives the batch's groups
     at p, (MA, MB, const, C, visibility); value((model, group), p)
-    re-evaluates a witness through the behavior path; a value above
-    `target` violates.  A decision batch runs with the target under the
-    engine's cap, a capped maximization without it at _POLISH_SWEEPS; each
-    is warm started from the previous batch's best row per group.  Returns
-    None when p = 1 does not violate, else (p, its witness, batches,
-    row-sweeps summed)."""
+    re-evaluates a witness through the behavior path; a value above f's
+    bound plus the margin violates.  A decision batch runs with that target
+    under the engine's cap, a capped maximization without it at
+    _POLISH_SWEEPS; each is warm started from the previous batch's best
+    row per group, all from one generator seeded with `seed`.  Returns None
+    when p = 1 does not violate, else (p, its witness, batches, row-sweeps
+    summed)."""
+    target = float(f.bound) + _VIOLATION_MARGIN
+    rng = np.random.default_rng(seed)
     p, decide, known, hi = 1.0, True, None, None  # the witness beats the target at `known`
     warm, batches, row_sweeps = None, 0, 0
     while True:
@@ -240,24 +252,19 @@ def noise_threshold(f: BellFunctional, theta: float, *,
 
     Returns None when the state does not violate even at w = 1.
     """
-    if not 0.0 < theta <= math.pi / 4 + 1e-12:
-        raise StructuralError(f"theta {theta} outside (0, pi/4]")
+    _check_theta(theta)
     if not allow_degenerate:
         best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=theta)
         w = _visibility_threshold(f, best.value)
-        if w is None:
-            return None
-        return NoiseResult(w_threshold=w, theta=theta, model=best.model,
-                           batches=1, row_sweeps=best.row_sweeps)
-
-    # identity effects make the noise term measurement-dependent: find the
-    # root from above, re-optimizing the measurements at each visibility
-    MA, MB, C = _coefficient_arrays(f)
-    found = _threshold_from_above(
-        lambda w: (MA[None], MB[None], np.zeros(1), C, w),
-        lambda witness, w: float(evaluate(f, _mixed_behavior(witness[0], w))),
-        float(f.bound) + _VIOLATION_MARGIN, restarts=restarts,
-        rng=np.random.default_rng(seed), theta=theta, allow_degenerate=True)
+        found = None if w is None else (w, (best.model, 0), 1, best.row_sweeps)
+    else:
+        # identity effects make the noise term measurement-dependent: find the
+        # root from above, re-optimizing the measurements at each visibility
+        MA, MB, C = _coefficient_arrays(f)
+        found = _threshold_from_above(
+            f, lambda w: (MA[None], MB[None], np.zeros(1), C, w),
+            lambda witness, w: float(evaluate(f, _mixed_behavior(witness[0], w))),
+            restarts=restarts, seed=seed, theta=theta, allow_degenerate=True)
     if found is None:
         return None
     w, (model, _), batches, row_sweeps = found
@@ -301,43 +308,49 @@ def _detection_tables(MA, MB, C, eta_a, eta_b, sa, sb):
             eta_a * eta_b * C)
 
 
-def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
-                   seed: int, restarts: int,
-                   allow_degenerate: bool) -> DetectionResult | None:
-    if not 0.0 < theta <= math.pi / 4 + 1e-12:
-        raise StructuralError(f"theta {theta} outside (0, pi/4]")
-    if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
-        best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
-        return _eta_at_maximal_entanglement(f, best, symmetric)
+def _noclick_rows(f: BellFunctional, symmetric: bool):
+    """No-click bits (s_a, s_b) as float rows, row k the assignment that
+    outputs strategy s = s_a + 2^m_a s_b: every s, or every s_b at s_a = 0
+    (Alice always detects) for eta_B."""
     ma, mb = f.scenario.m_a, f.scenario.m_b
-    MA, MB, C = _coefficient_arrays(f)
-    if symmetric:
-        bits = _bits(np.arange(1 << (ma + mb)), ma + mb).astype(float)
-        sa, sb = bits[:, :ma], bits[:, ma:]
-    else:
-        sb = _bits(np.arange(1 << mb), mb).astype(float)
-        sa = np.zeros((1 << mb, ma))  # irrelevant at eta_a = 1
+    s = np.arange(1 << (ma + mb)) if symmetric else np.arange(1 << mb) << ma
+    bits = _bits(s, ma + mb).astype(float)
+    return bits[:, :ma], bits[:, ma:]
 
-    def efficiencies(eta):
-        return (eta, eta) if symmetric else (1.0, eta)
 
-    def detection(eta, group):
-        return DetectionModel(*efficiencies(eta), *(tuple(int(v) for v in s[group])
-                                                    for s in (sa, sb)))
+def _detection(rows, symmetric: bool, eta: float, group: int) -> DetectionModel:
+    """Efficiencies (eta, eta), or (1, eta) for eta_B, and row `group`'s bits."""
+    return DetectionModel(eta if symmetric else 1.0, eta,
+                          *(tuple(int(v) for v in s[group]) for s in rows))
 
-    found = _threshold_from_above(
-        lambda eta: (*_detection_tables(MA, MB, C, *efficiencies(eta), sa, sb), 1.0),
-        lambda witness, eta: float(evaluate(f, detected_behavior(
-            model_behavior(witness[0]), detection(eta, witness[1])))),
-        float(f.bound) + _VIOLATION_MARGIN, restarts=restarts,
-        rng=np.random.default_rng(seed), theta=theta, allow_degenerate=allow_degenerate)
+
+def _detection_result(rows, symmetric: bool, found) -> DetectionResult | None:
+    """The result for found = (eta, (model, row), batches, row_sweeps), or None."""
     if found is None:
         return None
     eta, (model, group), batches, row_sweeps = found
-    d = detection(eta, group)
+    d = _detection(rows, symmetric, eta, group)
     return DetectionResult(eta=eta, eta_a=d.eta_a, eta_b=d.eta_b, model=model,
                            noclick_a=d.noclick_a, noclick_b=d.noclick_b,
                            batches=batches, row_sweeps=row_sweeps)
+
+
+def _eta_threshold(f: BellFunctional, theta: float, symmetric: bool, *,
+                   seed: int, restarts: int,
+                   allow_degenerate: bool) -> DetectionResult | None:
+    _check_theta(theta)
+    if not allow_degenerate and abs(theta - math.pi / 4) <= 1e-12:
+        best = seesaw_maximize(f, restarts=restarts, seed=seed, theta=math.pi / 4)
+        return _eta_at_maximal_entanglement(f, best, symmetric)
+    MA, MB, C = _coefficient_arrays(f)
+    rows = _noclick_rows(f, symmetric)
+    found = _threshold_from_above(
+        f, lambda eta: (*_detection_tables(MA, MB, C, eta if symmetric else 1.0, eta,
+                                           *rows), 1.0),
+        lambda witness, eta: float(evaluate(f, detected_behavior(
+            model_behavior(witness[0]), _detection(rows, symmetric, eta, witness[1])))),
+        restarts=restarts, seed=seed, theta=theta, allow_degenerate=allow_degenerate)
+    return _detection_result(rows, symmetric, found)
 
 
 def _quadratic_at_maximal_entanglement(f: BellFunctional, value: float,
@@ -366,14 +379,8 @@ def _eta_at_maximal_entanglement(f: BellFunctional, best: QuantumResult,
     roots = _smallest_roots(
         *_quadratic_at_maximal_entanglement(f, best.value, symmetric), target)
     assign = int(np.argmin(roots))
-    eta = min(float(roots[assign]), 1.0)
-    ma, mb = f.scenario.m_a, f.scenario.m_b
-    if not symmetric:
-        assign <<= ma  # s_a = 0: Alice always detects
-    bits = tuple(int(v) for v in _bits(np.array([assign]), ma + mb)[0])
-    return DetectionResult(eta=eta, eta_a=eta if symmetric else 1.0, eta_b=eta,
-                           model=best.model, noclick_a=bits[:ma], noclick_b=bits[ma:],
-                           batches=1, row_sweeps=best.row_sweeps)
+    return _detection_result(_noclick_rows(f, symmetric), symmetric, (
+        min(float(roots[assign]), 1.0), (best.model, assign), 1, best.row_sweeps))
 
 
 def eta_threshold_symmetric(f: BellFunctional, theta: float = math.pi / 4, *,
@@ -398,17 +405,8 @@ def eta_threshold_asymmetric(f: BellFunctional, theta: float = math.pi / 4, *,
                           allow_degenerate=allow_degenerate)
 
 
-def _default_sweep_thetas() -> tuple[float, ...]:
-    out = []
-    t = 0.25
-    while t > 0.005:
-        out.append(t)
-        t /= 2
-    out.append(0.005)
-    return tuple(v * math.pi for v in out)
-
-
-DEFAULT_SWEEP_THETAS = _default_sweep_thetas()
+DEFAULT_SWEEP_THETAS = tuple(t * math.pi for t in (
+    0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.005))
 
 
 def eta_asymmetric_sweep(f: BellFunctional, **opts):

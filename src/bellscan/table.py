@@ -120,21 +120,15 @@ def _fmt(value: float | None) -> str:
 
 
 def format_table(rows: list[ReportRow], fmt: str) -> str:
-    header = ["name", "violation", "theta_max_over_pi", "w_max", "w", "eta"]
+    cells = [[r.name, _fmt(r.violation), _fmt(r.theta_max_over_pi), _fmt(r.w_max),
+              _fmt(r.w), _fmt(r.eta_symmetric)] for r in rows]
     if fmt == "csv":
-        lines = [",".join(header)]
-        for r in rows:
-            lines.append(",".join([r.name, _fmt(r.violation),
-                                   _fmt(r.theta_max_over_pi), _fmt(r.w_max),
-                                   _fmt(r.w), _fmt(r.eta_symmetric)]))
-        return "\n".join(lines) + "\n"
-    if fmt == "text":
+        lines = [",".join(c) for c in
+                 [["name", "violation", "theta_max_over_pi", "w_max", "w", "eta"]] + cells]
+    elif fmt == "text":
         widths = [max(len(r.name) for r in rows) if rows else 8, 9, 9, 6, 6, 6]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(
-            ["name", "violation", "theta/pi", "w_max", "w", "eta"], widths))]
-        for r in rows:
-            cells = [r.name, _fmt(r.violation), _fmt(r.theta_max_over_pi),
-                     _fmt(r.w_max), _fmt(r.w), _fmt(r.eta_symmetric)]
-            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-        return "\n".join(lines) + "\n"
-    raise StructuralError(f"unknown table format {fmt!r}")
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in
+                 [["name", "violation", "theta/pi", "w_max", "w", "eta"]] + cells]
+    else:
+        raise StructuralError(f"unknown table format {fmt!r}")
+    return "\n".join(lines) + "\n"

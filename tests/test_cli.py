@@ -348,6 +348,9 @@ def test_eta_asym_sweep_text_and_json(capsys):
         [t / math.pi for t in DEFAULT_SWEEP_THETAS]
     etas = [p["eta_b"] for p in payload["sweep"]]
     assert payload["min_eta_b"] == min(etas)
+    (t1, e1), (t2, e2) = [(p["theta_over_pi"], p["eta_b"]) for p in payload["sweep"]
+                          if p["eta_b"] is not None][-2:]
+    assert payload["extrapolated_eta_b"] == e2 + (e2 - e1) * (0 - t2) / (t2 - t1)
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     lines = out.splitlines()

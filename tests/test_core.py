@@ -183,6 +183,35 @@ def test_parse_error_reports_line():
         parse_functional("bell 2 2 0\nbob -1 0\n-1 | 1 1\n")
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: BellFunctional(Scenario(2, 2), (-1,), (-1, 0), ((1, 1), (1, -1)), 0),
+     StructuralError, "alice_marg has length 1, expected 2"),
+    (lambda: BellFunctional(Scenario(2, 2), (-1, 0), (-1,), ((1, 1), (1, -1)), 0),
+     StructuralError, "bob_marg has length 1, expected 2"),
+    (lambda: Behavior((0.5, 0.5), (0.5,), ((0.25,),)),
+     StructuralError, "p_ab shape does not match marginals"),
+    (lambda: parse_functional("# only a comment\n"),
+     FunctionalParseError, "no content lines found"),
+    (lambda: parse_functional("bell 2 2 x\n"), FunctionalParseError, "line 1: bad bound 'x'"),
+    (lambda: parse_functional("bell 0 2 0\n"),
+     FunctionalParseError, "line 1: setting counts must be >= 1"),
+    (lambda: parse_functional("bell 2 2 0\nalice -1 0\n-1 | 1 1\n0 | 1 -1\n"),
+     FunctionalParseError, "line 2: expected 'bob <marginals>'"),
+    (lambda: parse_functional("bell 2 2 0\nbob -1\n-1 | 1 1\n0 | 1 -1\n"),
+     FunctionalParseError, "line 2: expected 2 marginals after 'bob'"),
+    (lambda: parse_functional("bell 2 2 0\nbob -1 0\n-1 1 1\n0 | 1 -1\n"),
+     FunctionalParseError, "line 3: expected '<marginal> | <correlations>'"),
+    (lambda: parse_functional("bell 2 2 0\nbob -1 0\n-1 0 | 1 1\n0 | 1 -1\n"),
+     FunctionalParseError, "line 3: expected a single marginal before '|'"),
+    (lambda: functional_from_json({"scenario": {"ma": 2, "mb": 2}}),
+     StructuralError, "malformed functional object: 'bound'"),
+])
+def test_validation_errors(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_lift_pads_with_zeros():
     chsh = catalog_get("CHSH").functional
     lifted = lift(chsh, Scenario(3, 3))

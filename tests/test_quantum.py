@@ -67,6 +67,19 @@ def test_measurement_validation():
         Measurement(KIND_ALWAYS_ZERO, (0.0, 0.0, 1.0))
     with pytest.raises(StructuralError):
         Measurement("sometimes")
+    with pytest.raises(StructuralError) as err:
+        projector((0, 0, 0))
+    assert str(err.value) == "zero Bloch direction"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QubitModel(-0.1, (), ()),
+    lambda: seesaw_maximize(catalog_get("CHSH").functional, restarts=1, theta=-0.1),
+], ids=["QubitModel", "seesaw_maximize"])
+def test_theta_outside_the_schmidt_range(make):
+    with pytest.raises(StructuralError) as err:
+        make()
+    assert str(err.value) == "theta -0.1 outside [0, pi/4]"
 
 
 def test_model_behavior_maximally_entangled_z():

@@ -192,6 +192,20 @@ def test_detected_behavior_limits():
         assert q.p_ab[x][1] == 0.0
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: DetectionModel(1.5, 1.0, (0,), (0,)), "efficiencies must lie in [0, 1]"),
+    (lambda: DetectionModel(1.0, 1.0, (2,), (0,)), "no-click assignments must be bit vectors"),
+    (lambda: detected_behavior(model_behavior(QubitModel(0.5, (projector((0, 0, 1)),) * 2,
+                                                         (projector((0, 0, 1)),) * 2)),
+                               DetectionModel(1.0, 1.0, (0,), (0, 0))),
+     "no-click assignments do not match the behavior shape"),
+])
+def test_detection_validation(make, message):
+    with pytest.raises(StructuralError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_detected_behavior_preserves_box_constraints():
     # Behavior.__post_init__ enforces the constraints; must never raise
     rng = random.Random(17)
@@ -253,12 +267,13 @@ def assert_closed_form_matches_bit_algebra(f, best, *, witnessed=True):
         assert value > float(f.bound)
 
 
-@pytest.mark.parametrize("name", ["CHSH", "I3322", "I4422_2"])
+@pytest.mark.parametrize("name", ["CHSH", "I3322", "I4422_2", "I4322_1"])
 def test_eta_b_closed_form_matches_the_root_finder(name):
     # at pi/4 every rank-1 marginal is 1/2, so eta_B is linear in eta_B for
     # each no-click s_b, with the one optimum Q(pi/4): one see-saw batch.
     # The root-finder just off pi/4 finds the same threshold, and the
-    # closed form's model and bits witness a violation at it
+    # closed form's model and bits witness a violation at it.  I4322_1 has
+    # m_a != m_b, so bits read from Alice's columns fail the witness check
     f = catalog_get(name).functional
     r = eta_threshold_asymmetric(f, math.pi / 4, seed=1)
     assert r.batches == 1 and r.eta_a == 1.0 and r.noclick_a == (0,) * f.scenario.m_a
@@ -395,6 +410,22 @@ def test_table_starts_at_most_one_worker_per_row(monkeypatch):
         with pytest.raises(StructuralError, match="jobs must be >= 1"):
             table.compute_table(names, jobs=jobs)
     assert started == [2]
+
+
+def test_table_defaults_to_every_primary_row_in_catalog_order(monkeypatch):
+    monkeypatch.setattr(table, "compute_row", lambda name, **kwargs: name)
+    assert table.compute_table() == list(PRIMARY_NAMES)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: table.compute_table(["I3322_TILDE"]),
+     "not primary catalog entries: ['I3322_TILDE']"),
+    (lambda: table.format_table([], "html"), "unknown table format 'html'"),
+])
+def test_table_validation(make, message):
+    with pytest.raises(StructuralError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_degenerate_noise_threshold_decides_like_full_bisection(monkeypatch):

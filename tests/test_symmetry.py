@@ -104,6 +104,24 @@ def test_swap_requires_square_scenario():
         symmetric_representative(f)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Transformation((0, 0), (0, 1), (0, 0), (0, 0)),
+     "alice_perm (0, 0) is not a permutation"),
+    (lambda: Transformation((0, 1), (1, 2), (0, 0), (0, 0)),
+     "bob_perm (1, 2) is not a permutation"),
+    (lambda: Transformation((0, 1), (0, 1), (0,), (0, 0)),
+     "flip masks must match the permutation lengths"),
+    (lambda: Transformation((0, 1), (0, 1), (0, 2), (0, 0)), "flip masks must be bit vectors"),
+    (lambda: apply_transformation(catalog_get("CHSH").functional,
+                                  Transformation((0, 1, 2), (0, 1, 2), (0,) * 3, (0,) * 3)),
+     "transformation does not match the functional's scenario"),
+])
+def test_transformation_validation(make, message):
+    with pytest.raises(StructuralError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_transformation_counts():
     assert transformation_count(Scenario(2, 2)) == 128
     assert transformation_count(Scenario(4, 4)) == 294912
