@@ -196,7 +196,7 @@ def _cmd_qmax(args) -> tuple:
                "theta_max_over_pi": res.theta_max / math.pi,
                "restarts": res.restarts_used, "sweeps": res.sweeps,
                "row_sweeps": res.row_sweeps, "converged": res.converged,
-               "accepted": res.accepted}
+               "accepted": res.accepted, "raced": res.raced, "hits": res.hits}
     return EXIT_OK if res.violation > _VIOLATION_MARGIN else EXIT_NONE, payload, [
         f"value: {res.value:.6f}",
         f"violation: {res.violation:.6f}",

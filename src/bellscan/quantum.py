@@ -60,19 +60,23 @@ and every sweep count are map evaluations.
 
 No product sums across rows: each is stacked per row (np.matmul over the
 batch axis), since one GEMM over the batch rounds differently with the
-batch size.  A row stops after the first cycle that moves its value by
-less than 1e-10 (_TOL), so its trajectory does not depend on its batch.
-At fixed theta a sweep's value is Alice's marginal term plus the sum of
-Bob's per-setting block maxima.  A decision call ("does some row beat this
-target?") stops after the first evaluation in which a row exceeds the
-target.  It also stops a row, at the end of a cycle, once the row could
-not reach the target even if it gained _REACH times that cycle's gain in
-every cycle left under the cap.  A "no" batch therefore ends with its last
-row that might still reach the target, not at the cap.  Each row's value
-is its full run's at its own evaluation count, and it can only rise, so a
-row above the target is above it in the full run too.  A row stopped by
-the reach rule might still have crossed the target; that part is a
-heuristic, not a proof.
+batch size, so a row's arithmetic does not depend on its batch; only
+where it stops does.  At fixed theta a sweep's value is Alice's marginal
+term plus the sum of Bob's per-setting block maxima.  A row stops after
+the first cycle that moves its value by less than 1e-10 (_TOL), or at the
+cap.  It is also raced out: at the end of a cycle it leaves once its
+total, its value plus its group's constant (`_best_of_groups`), could not
+reach a bar even if it gained _REACH times that cycle's gain in every
+cycle left under the cap.  A decision call ("does some row beat this
+target?") stops after the first evaluation in which a row's total
+exceeds the target, and its bar is the target, so a "no" batch ends with
+its last row that might still reach the target, not at the cap.  Any
+other batch's bar is the best total that any of its rows has reached so
+far, so the batch ends with its last row that might still beat it.  Each
+row's value is its solo run's at its own evaluation count, and it can
+only rise, so a row above the target is above it in the solo run too.  A
+raced row might still have crossed the bar; that part is a heuristic, not
+a proof.
 """
 
 from __future__ import annotations
@@ -110,8 +114,9 @@ _PAULI = np.array([
 # row 4i + j holds sigma_i (x) sigma_j, flattened: the Bell operator is T.ravel() @ it
 _PAULI_PAIRS = np.einsum("iac,jbd->ijabcd", _PAULI, _PAULI).reshape(16, 16)
 _TOL = 1e-10  # a cycle that moves a row's value by less ends that row
-# a decision row stops once even this many times its last cycle's gain, for
-# every cycle left under the cap, would leave it below the target
+# a row is raced out once even this many times its last cycle's gain, for
+# every cycle left under the cap, would leave its total below its bar (a
+# decision's target, else the batch's best total so far)
 _REACH = 10.0
 _MAX_SWEEPS = 500  # evaluation cap of a see-saw batch (robustness._POLISH_SWEEPS aside)
 _ALPHA_MAX = 1e3  # SQUAREM steps are clamped to alpha in [-_ALPHA_MAX, -1]
@@ -167,6 +172,8 @@ class QuantumResult:
     row_sweeps: int      # map evaluations summed over restarts
     converged: int       # restarts stopped by _TOL, not by _MAX_SWEEPS
     accepted: int        # cycles that kept their SQUAREM trial point, over restarts
+    raced: int           # restarts stopped below the best they could not reach
+    hits: int            # restarts that end within 1e-9 of the best value
 
 
 def _mixed_behavior(m: QubitModel, w: float) -> Behavior:
@@ -377,11 +384,12 @@ def _squarem_point(x0, x1, x2):
 
 
 def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
-                  rng=None, init=None, max_sweeps=None, record=False, target=None):
+                  rng=None, init=None, max_sweeps=None, record=False, target=None, const=0.0):
     """Run one batched see-saw; returns each row's final state (`values`,
     `theta` and the effect coordinates `xa`, `xb`), its map evaluations
-    (`row_sweeps`), whether it stopped on _TOL (`converged`) and how many of
-    its cycles kept their trial point (`accepted`).
+    (`row_sweeps`), whether it stopped on _TOL (`converged`) or by the race
+    (`raced`) and how many of its cycles kept their trial point
+    (`accepted`).
 
     theta=None optimizes the state from Schmidt angles drawn from `rng`
     (before the Bloch vectors); a float fixes it.  A free row carries its
@@ -399,16 +407,19 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
     least that of x2 (else the row keeps x2), so the value never falls.
     The trial sweep takes a free row's state psi, and its kernels, from
     x2.  The cap, _MAX_SWEEPS unless `max_sweeps` is given, and
-    `row_sweeps` count map evaluations, three per rank-1 cycle.  A row
-    freezes after the first cycle that moves its value by less than _TOL,
-    so its trajectory does not depend on the other rows.  A target (scalar
-    or per row) ends the run after the first evaluation in which some
-    row's value exceeds it.  With a target, a row also leaves at the end
-    of a cycle once value + _REACH * max(gain, 0) * (cycles left) stays
-    below its target, with the cycle's gain and (cap - evaluations) / (its
-    evaluations per cycle) cycles left.  Such a row keeps its value, which
-    equals its full run's value at that evaluation count; it is not marked
-    converged.
+    `row_sweeps` count map evaluations, three per rank-1 cycle.
+
+    A row's total is its value plus `const` (scalar or per row).  A row
+    freezes after the first cycle that moves its value by less than _TOL.
+    A target (scalar or per row) for the total ends the run after the first
+    evaluation in which some row's total exceeds it.  At the end of a cycle
+    a row also leaves once total + _REACH * max(gain, 0) * (cycles left)
+    stays below a bar: its target if one is given, else the best total of
+    any row so far.  The gain is the cycle's, and (cap - evaluations) /
+    (evaluations per cycle) cycles are left.  Such a raced row keeps its
+    value, which equals its solo run's value at that evaluation count; it
+    is neither converged nor capped.  Up to where it leaves, a row's
+    trajectory does not depend on the other rows.
     """
     C = np.ascontiguousarray(C, dtype=float)
     MA, MB = (np.asarray(M, dtype=float) / 2.0 for M in (MA, MB))  # halved from here on
@@ -427,6 +438,7 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
             theta[rows] = init["theta"]
     table = _kron_table(C)
     s = {"live": np.arange(n), "MA": MA, "MB": MB, "xa": xa, "xb": xb,
+         "const": np.broadcast_to(np.asarray(const, dtype=float), (n,)),
          "target": np.broadcast_to(np.inf if target is None else target, (n,))}
     if free:  # a row's state is psi in the frame of its effects
         s["psi"] = np.zeros((n, 4), dtype=complex)
@@ -440,9 +452,9 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
     saved = ("values", "xa", "xb") + (("psi",) if free else ())
     out = {**{k: s[k] for k in saved}, "values": s["values"].copy(), "theta": theta,
            "row_sweeps": np.zeros(n, dtype=np.int64), "converged": np.zeros(n, dtype=bool),
-           "accepted": np.zeros(n, dtype=np.int64)}
+           "raced": np.zeros(n, dtype=bool), "accepted": np.zeros(n, dtype=np.int64)}
     history = [out["values"].copy()] if record else None
-    decide = target is not None
+    best = -np.inf  # the best total so far: the bar when there is no target
     cycle = 1 if allow_degenerate else 3  # map evaluations per cycle
     evals = 0
     for evals in range(1, max_sweeps + 1):
@@ -465,24 +477,26 @@ def _seesaw_batch(MA, MB, C, *, theta=None, w=1.0, allow_degenerate=False,
             out["accepted"][s["live"]] += kept
             s = t
         values = s["values"]
-        stop = evals == max_sweeps or bool((values > s["target"]).any())
+        totals = values + s["const"]
+        stop = evals == max_sweeps or bool((totals > s["target"]).any())
         end = phase == cycle - 1
         if stop or end:
             gain = values - v0  # over the cycle so far
             done = np.abs(gain) < _TOL if end else np.zeros(len(values), dtype=bool)
             if stop:
-                leave = np.ones_like(done)
-            elif decide:
-                reach = _REACH * np.maximum(gain, 0.0) * ((max_sweeps - evals) / cycle)
-                leave = done | (values + reach < s["target"])
+                leave, raced = np.ones_like(done), np.zeros_like(done)
             else:
-                leave = done
+                best = max(best, float(totals.max()))
+                reach = _REACH * np.maximum(gain, 0.0) * ((max_sweeps - evals) / cycle)
+                raced = ~done & (totals + reach < (best if target is None else s["target"]))
+                leave = done | raced
             if leave.any():
                 rows = s["live"][leave]
                 for key in saved:
                     out[key][rows] = s[key][leave]
                 out["row_sweeps"][rows] = evals
                 out["converged"][rows] = done[leave]
+                out["raced"][rows] = raced[leave]
                 keep = ~leave
                 s = {k: v if k in shared else v[keep] for k, v in s.items()}
         if record:
@@ -508,7 +522,8 @@ def _best_of_groups(MA, MB, const, C, *, restarts, warm=None, target=None, **eng
     """One see-saw batch for groups of `restarts` rows, group i maximizing
     the table (MA[i], MB[i], C) plus const[i]; `warm` (one row state per
     group) replaces each group's first random start, and a target for the
-    value plus the constant makes it a decision call.  Returns (best value,
+    value plus the constant makes it a decision call.  Rows race on that
+    total, so groups of different constants race on what they maximize.  Returns (best value,
     its group, its model, each group's best row state, the batch state)."""
     if restarts < 1:
         raise StructuralError("restarts must be >= 1")
@@ -516,8 +531,7 @@ def _best_of_groups(MA, MB, const, C, *, restarts, warm=None, target=None, **eng
     row_const = np.repeat(const, r)
     init = None if warm is None else {"rows": np.arange(g) * r, **warm}
     state = _seesaw_batch(np.repeat(MA, r, axis=0), np.repeat(MB, r, axis=0), C, init=init,
-                          target=None if target is None else target - row_const,
-                          **engine_options)
+                          target=target, const=row_const, **engine_options)
     totals = (state["values"] + row_const).reshape(g, r)
     best_r = totals.argmax(axis=1)  # first index on ties
     group_rows = np.arange(g) * r + best_r
@@ -555,4 +569,6 @@ def seesaw_maximize(f: BellFunctional, *, restarts: int = 50, seed: int = 0,
         row_sweeps=int(state["row_sweeps"].sum()),
         converged=int(state["converged"].sum()),
         accepted=int(state["accepted"].sum()),
+        raced=int(state["raced"].sum()),
+        hits=int((state["values"] >= value - 1e-9).sum()),
     )

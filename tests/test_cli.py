@@ -194,9 +194,28 @@ def test_qmax_json(capsys):
     assert payload["row_sweeps"] == full.row_sweeps
     assert payload["converged"] == full.converged
     assert payload["accepted"] == full.accepted
-    assert 0 <= payload["converged"] <= payload["restarts"]
+    assert (payload["raced"], payload["hits"]) == (full.raced, full.hits)
+    assert 0 <= payload["converged"] + payload["raced"] <= payload["restarts"]
+    assert 1 <= payload["hits"] <= payload["restarts"]
     assert 0 < payload["accepted"] <= payload["row_sweeps"] // 3
     assert payload["sweeps"] <= payload["row_sweeps"] <= payload["restarts"] * payload["sweeps"]
+
+
+def test_qmax_accounts_for_every_restart(capsys):
+    # each restart stops by _TOL (converged), by the race below the batch's
+    # best (raced) or at the 500-evaluation cap; I4422_2 at seed 0 ends
+    # before the cap, so the first two are all 50.  Only one restart ends
+    # within 1e-9 of the best (hits), though 18 converge
+    code, out, _ = run_cli(capsys, "qmax", "--name", "I4422_2", "--seed", "0",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sweeps"] < 500  # so no restart is capped
+    assert payload["converged"] + payload["raced"] == payload["restarts"] == 50
+    assert (payload["sweeps"], payload["row_sweeps"]) == (180, 2184)
+    assert (payload["converged"], payload["raced"], payload["hits"]) == (18, 32, 1)
+    code, text, _ = run_cli(capsys, "qmax", "--name", "I4422_2", "--seed", "0")
+    assert text == "value: 0.621371\nviolation: 0.621371\ntheta_max/pi: 0.247634\n"
 
 
 RAISED_CHSH = "bell 2 2 1\nbob -1 0\n-1 | 1 1\n0 | 1 -1\n"  # CHSH with bound 1

@@ -600,8 +600,10 @@ def test_closed_form_visibility_is_never_negative():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_reach_rule_keeps_thresholds(monkeypatch, seed):
     # oracle: a finite reach factor that no row falls short of switches the
-    # rule off, so decision rows stop only on _TOL, the cap or a crossing;
-    # the rule must find the same thresholds for fewer row-sweeps
+    # rule off, so rows stop only on _TOL, the cap or a crossing; the rule,
+    # against the target in decisions and against the batch's best in the
+    # capped maximizations, must find the same thresholds for fewer
+    # row-sweeps
     def thresholds():
         return (eta_threshold_asymmetric(catalog_get("I3322").functional,
                                          0.05 * math.pi, seed=seed, restarts=3),
